@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the reference data set from the shipped hBN scenario.
 
-Runs every CLI subcommand against scripts/hbn_scenario.yaml and collects the
-CSVs under out/ (no plotting; the CSVs are the deliverable):
+Runs every CLI subcommand against scripts/hbn_scenario.yaml in this one
+process and collects the CSVs under out/ (no plotting; the CSVs are the
+deliverable):
 
     permittivity    dielectric tensor curves across both phonon bands
     bands           hyperbolic band edges and centers
@@ -14,31 +15,37 @@ CSVs under out/ (no plotting; the CSVs are the deliverable):
     gate            iSWAP fidelity report, trajectory, process matrix
     evolve          free exchange trajectory
 
-Usage: python scripts/reproduce_figure_data.py [--threads N] [--out PREFIX]
+Usage: python scripts/reproduce_figure_data.py [--out PREFIX]
+
+The package is imported from the checkout's src/ when it is not installed.
+The exit code is the last non-zero subcommand exit code (0 when all pass).
 """
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
-SCENARIO = Path(__file__).resolve().parent / "hbn_scenario.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO = ROOT / "scripts" / "hbn_scenario.yaml"
 COMMANDS = ["permittivity", "bands", "fieldmap", "foci", "resonance",
             "coupling-sweep", "design-window", "gate", "evolve"]
+
+try:
+    from hyperpol import cli
+except ImportError:
+    sys.path.insert(0, str(ROOT / "src"))
+    from hyperpol import cli
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="out/hbn", help="output prefix")
     args = ap.parse_args()
 
     rc_total = 0
     for cmd in COMMANDS:
-        argv = [sys.executable, "-m", "hyperpol", "--config", str(SCENARIO),
-                "--out-prefix", args.out, "--threads", str(args.threads), cmd]
-        print(f"== {cmd}")
-        rc = subprocess.call(argv)
+        print(f"== {cmd}", flush=True)
+        rc = cli.main(["--config", str(SCENARIO), "--out-prefix", args.out, cmd])
         if rc != 0:
             print(f"   exited with {rc}")
             rc_total = rc

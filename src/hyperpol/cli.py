@@ -5,21 +5,24 @@ design-window, evolve, gate.  Every run writes the requested CSVs plus a
 JSON manifest (<prefix>_<command>_manifest.json) listing output files and
 column schemas.  Floats are serialized with 9 significant digits and sweep
 cells are collected in input order, so identical scenario + version produce
-byte-identical files.
+byte-identical files.  --threads is accepted for compatibility and ignored.
+
+Exit codes: 0 success, 2 input error (scenario, material file, invalid
+parameter), 3 gate fidelity below the configured threshold, 4 numerical
+failure (integrator step underflow or trace drift).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, optics, resonator
 from .constants import KT_ROOM_MEV, omega_to_mev
-from .errors import ScenarioError
+from .errors import ScenarioError, StiffnessError, TraceDriftError
 from .material import hyperbolic_bands, permittivity_at, upper_band
 from .scenario import (
     RunManifest,
@@ -55,13 +58,6 @@ def write_csv(path: Path, columns: list[str], rows, comments: list[str] = ()) ->
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
 
 
 def _out(sc: Scenario, name: str) -> Path:
@@ -166,7 +162,7 @@ def cmd_resonance(sc: Scenario, args, manifest: RunManifest) -> int:
         sc.material, sc.geometry,
         omega_range=(float(w_axis[0]), float(w_axis[-1])),
         aspect_range=(float(a_axis[0]), float(a_axis[-1])),
-        shape=(len(w_axis), len(a_axis)), p=p, map_workers=args.threads)
+        shape=(len(w_axis), len(a_axis)), p=p)
     cols = ["omega_cm1", "d_over_R", "log10_magnitude"]
     rows = []
     for i, w in enumerate(rm.omegas):
@@ -205,8 +201,7 @@ def cmd_coupling_sweep(sc: Scenario, args, manifest: RunManifest) -> int:
     h = sc.geometry.h
     p = sc.qubits[0].p if sc.qubits else 1.0
 
-    def cell(item):
-        r, m = item
+    def cell(r: float, m: int) -> list:
         aspect = resonator.hsr_aspect(sc.material, omega, m)
         d = aspect * r
         geom = resonator.ResonatorGeometry(R=r, d=d, h=h, eps_spacer=sc.geometry.eps_spacer)
@@ -217,9 +212,7 @@ def cmd_coupling_sweep(sc: Scenario, args, manifest: RunManifest) -> int:
         return [r, d, h, omega, j, g11, j / g11 if g11 > 0 else float("inf"),
                 m, forms.j_bounce, series.J, j > KT_ROOM_MEV]
 
-    items = [(float(r), int(m)) for m in orders for r in r_axis]
-    resonator.bessel_j0_zeros(2048)  # warm the shared cache before threading
-    rows = _parallel_map(cell, items, args.threads)
+    rows = [cell(float(r), int(m)) for m in orders for r in r_axis]
     cols = ["R_nm", "d_nm", "h_nm", "omega_cm1", "J_meV", "Gamma_meV", "J_over_Gamma",
             "m", "J_bounce_meV", "J_series_meV", "above_kT_room"]
     path = _out(sc, "coupling_sweep.csv")
@@ -353,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hyperbolic-resonator qubit coupling simulator")
     ap.add_argument("--config", required=True, help="scenario YAML file")
     ap.add_argument("--out-prefix", default=None, help="override output.prefix")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    ap.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored (sweeps are array code); recorded in the manifest")
     ap.add_argument("--seed", type=int, default=None,
                     help="reserved for stochastic features; recorded in the manifest")
     ap.add_argument("--validate", action="store_true",
@@ -384,6 +378,9 @@ def main(argv=None) -> int:
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (StiffnessError, TraceDriftError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -115,6 +115,34 @@ def emission_angle(eps: UniaxialPermittivity) -> float:
     return float(np.arctan(np.sqrt(ratio)))
 
 
+def _field(eps: UniaxialPermittivity, moment: np.ndarray, rvec: np.ndarray):
+    """Dipole field at displacements rvec (..., 3) from the source, and its singular mask.
+
+    Returns (e, singular): the complex field (..., 3) in e/nm^2 and a boolean
+    mask (...) of the points on the lossless resonance cone or on the source
+    itself, where the field is not defined and e holds no meaningful value.
+    """
+    if eps.eps_parallel == 0:
+        raise SingularMediumError("eps_parallel = 0")
+    if eps.eps_perp == 0:
+        raise SingularMediumError("eps_perp = 0: the field divides by sqrt(eps_par eps_perp)")
+    x, y, z = np.moveaxis(rvec, -1, 0)
+    a = eps.eps_perp / eps.eps_parallel
+    s = x * x + y * y + a * z * z
+    # catastrophic cancellation = the lossless resonance cone (s = scale = 0 on the source)
+    scale = x * x + y * y + abs(a) * z * z
+    singular = np.abs(s) <= 1e-12 * scale
+    px, py, pz = moment
+    u = px * x + py * y + a * pz * z
+    norm = np.sqrt(eps.eps_parallel * eps.eps_perp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s32 = s ** -1.5
+        s52 = s ** -2.5
+        e = ((3.0 * s52 * u)[..., None] * np.stack([x, y, a * z], axis=-1)
+             - s32[..., None] * np.array([px, py, a * pz])) / norm
+    return e, singular
+
+
 def dipole_field(eps: UniaxialPermittivity, src: DipoleSource, r) -> FieldSample:
     """Closed-form quasistatic field of a point dipole in the uniaxial medium.
 
@@ -129,29 +157,18 @@ def dipole_field(eps: UniaxialPermittivity, src: DipoleSource, r) -> FieldSample
     where a = eps_perp/eps_par, s = x^2+y^2+a z^2, u = p_x x + p_y y + a p_z z.
     In the isotropic limit this is the static dipole field (2p/z^3 on axis).
     For lossless hyperbolic media s vanishes on the resonance cone
-    z = rho*sqrt(-eps_par/eps_perp); evaluation there raises.
+    z = rho*sqrt(-eps_par/eps_perp); evaluation there raises, as does a
+    vanishing permittivity component (SingularMediumError).
     """
-    if eps.eps_parallel == 0:
-        raise SingularMediumError("eps_parallel = 0")
-    rvec = np.asarray(r, dtype=float) - src.position
+    r = np.asarray(r, dtype=float)
+    rvec = r - src.position
+    e, singular = _field(eps, src.moment, rvec)
     if not np.any(rvec):
         raise ValueError("field point coincides with the source")
-    x, y, z = rvec
-    a = eps.eps_perp / eps.eps_parallel
-    s = x * x + y * y + a * z * z
-    # catastrophic cancellation = the lossless resonance cone
-    scale = x * x + y * y + abs(a) * z * z
-    if abs(s) <= 1e-12 * scale:
+    if singular:
         raise ConeSingularityError(
             "on the lossless resonance cone z = rho*sqrt(-eps_par/eps_perp)")
-    px, py, pz = src.moment
-    u = px * x + py * y + a * pz * z
-    norm = np.sqrt(eps.eps_parallel * eps.eps_perp)
-    s32 = s ** -1.5
-    s52 = s ** -2.5
-    e = (3.0 * s52 * u * np.array([x, y, a * z]) - s32 * np.array([px, py, a * pz])) / norm
-    return FieldSample(position=np.asarray(r, dtype=float), e_field=e,
-                       intensity=float(np.sum(np.abs(e) ** 2)))
+    return FieldSample(position=r, e_field=e, intensity=float(np.sum(np.abs(e) ** 2)))
 
 
 def waveguide_foci(eps: UniaxialPermittivity, R: float, a0: float = 0.3,
@@ -176,17 +193,14 @@ def waveguide_foci(eps: UniaxialPermittivity, R: float, a0: float = 0.3,
 
 
 def field_map(eps: UniaxialPermittivity, src: DipoleSource, grid: FieldGrid) -> np.ndarray:
-    """|E|^2 on a (z, rho) grid; NaN marks cone-singular points.
+    """|E|^2 on a (z, rho) grid; NaN marks cone-singular points and the source.
 
     Row-major: rows indexed by z, columns by rho (y coordinate fixed to 0).
+    Raises SingularMediumError when a permittivity component vanishes.
     """
-    rho = grid.rho_axis()
-    z = grid.z_axis()
-    out = np.empty((len(z), len(rho)))
-    for i, zz in enumerate(z):
-        for j, rr in enumerate(rho):
-            try:
-                out[i, j] = dipole_field(eps, src, (rr, 0.0, zz)).intensity
-            except (ConeSingularityError, ValueError):
-                out[i, j] = np.nan
-    return out
+    z, rho = np.meshgrid(grid.z_axis(), grid.rho_axis(), indexing="ij")
+    points = np.stack([rho, np.zeros_like(rho), z], axis=-1)
+    e, singular = _field(eps, src.moment, points - src.position)
+    intensity = np.sum(np.abs(e) ** 2, axis=-1)
+    intensity[singular] = np.nan
+    return intensity

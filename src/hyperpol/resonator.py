@@ -98,8 +98,7 @@ def bessel_j0_zeros(n: int) -> np.ndarray:
 
     True zeros (x_1 = 2.40483) rather than the asymptote pi(n - 1/4)
     (= 2.35619 at n=1); the asymptote is accurate to <1e-3 from n=3 on and
-    serves only as a mental model here.  The cache is grown before any
-    parallel map over sweep cells, making reads thread-safe.
+    serves only as a mental model here.
     """
     global _J0_ZEROS
     if n > _J0_ZEROS.size:
@@ -194,13 +193,87 @@ def _inv_D_resummed(theta: np.ndarray, A: complex, r_eff: complex) -> np.ndarray
     return np.where(grow, dn, up)
 
 
-def _tail_bound(x_last: float, kappa: float, amp: float) -> float:
-    """Bound sum_{x > x_last} x^2 e^{-kappa x} * amp / pi via the integral."""
-    if kappa <= 0:
-        return float("inf")
-    x = x_last
-    integral = np.exp(-kappa * x) * (x * x / kappa + 2 * x / kappa**2 + 2 / kappa**3)
-    return float(amp * integral / np.pi)
+def _tail_bound(x_last: float, kappa: np.ndarray, amp: float) -> np.ndarray:
+    """Bound sum_{x > x_last} x^2 e^{-kappa x} * amp / pi via the integral, per cell."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = x_last
+        integral = np.exp(-kappa * x) * (x * x / kappa + 2 * x / kappa**2 + 2 / kappa**3)
+        return np.where(kappa <= 0, np.inf, amp * integral / np.pi)
+
+
+def _pair_series(eps: UniaxialPermittivity, eps0: complex, R: float, d: np.ndarray,
+                 h: float, p1: float, p2: float, placement: str, formulation: str,
+                 tol: float, n_terms: int | None = None):
+    """The coupling series for a vector of resonator lengths d sharing one omega.
+
+    Returns (total, n, bound) per cell: the complex sum p1.E2 in meV, the
+    number of terms used and the tail bound in meV.  Each cell is evaluated
+    as a (cells x terms) block; in adaptive mode (n_terms None) every cell
+    follows the same 64 -> 4096 block doubling and leaves the active set once
+    its own tail bound is below tol relative.
+    """
+    cells = d.size
+    if p1 == 0 or p2 == 0:
+        return np.zeros(cells, dtype=complex), np.zeros(cells, dtype=int), np.zeros(cells)
+    q, beta, A, r_eff = _series_ingredients(eps, eps0)
+    # asymptotic per-term decay rate in x (spacer decay + one-way absorption)
+    h_exp = h if placement == "opposite_sides" else 2.0 * h
+    kappa = h_exp / R + abs(q.imag) * d / R * (1 if placement == "opposite_sides" else 0)
+
+    prefac = 2.0 * np.pi * p1 * p2 / R**3 * E2_PER_NM_MEV
+    if placement == "self":
+        v = (eps0 / eps.eps_parallel) * sqrt_ratio_inv(eps)
+        r1 = -(1.0 + 1j * v) / (1.0 - 1j * v)
+
+    def block_sums(x: np.ndarray, dcol: np.ndarray) -> np.ndarray:
+        theta = q * x * dcol / R
+        if placement == "opposite_sides":
+            if formulation == "direct":
+                inv = _inv_D_direct(theta, beta)
+            else:
+                inv = _inv_D_resummed(theta, A, r_eff)
+            return np.sum(-prefac * x**2 * np.exp(-x * h / R) * inv, axis=1)
+        grow = theta.imag < 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            e2 = np.exp(2j * theta)
+            up = r1 * (1.0 - e2) / (1.0 - r1 * r1 * e2)
+            e2i = np.exp(-2j * theta)
+            dn = r1 * (e2i - 1.0) / (e2i - r1 * r1)
+        rho = np.where(grow, dn, up)
+        return np.sum(prefac * x**2 * np.exp(-2.0 * x * h / R) * rho, axis=1)
+
+    amp = abs(prefac) * max(2.0 * abs(A) / max(1.0 - abs(r_eff), 1e-3), 4.0)
+
+    if n_terms is not None:
+        x = bessel_j0_zeros(n_terms)
+        return (block_sums(x, d[:, None]), np.full(cells, n_terms),
+                _tail_bound(float(x[-1]), kappa, amp))
+
+    # adaptive: grow in blocks until each cell's tail bound is below tol relative
+    total = np.zeros(cells, dtype=complex)
+    n = np.zeros(cells, dtype=int)
+    bound = np.full(cells, np.inf)
+    active = np.arange(cells)
+    n_done = 0
+    block = 64
+    max_terms = 32768
+    while active.size:
+        x = bessel_j0_zeros(n_done + block)[n_done:]
+        total[active] += block_sums(x, d[active, None])
+        n_done += block
+        n[active] = n_done
+        b = _tail_bound(float(x[-1]), kappa[active], amp)
+        bound[active] = b
+        t = total[active]
+        scale = np.maximum(np.maximum(np.abs(t.real), np.abs(t.imag)), 1e-300)
+        active = active[~((b <= tol * scale) | (b <= 1e-18))]
+        if active.size and n_done >= max_terms:
+            where = f" in {active.size} of {cells} cells" if cells > 1 else ""
+            warnings.warn(f"pair_response series stopped at {n_done} terms with tail bound "
+                          f"{bound[active].max():.3g} meV{where}", stacklevel=3)
+            break
+        block = min(2 * block, 4096)
+    return total, n, bound
 
 
 def pair_response(model: MaterialModel, geom: ResonatorGeometry, omega: float,
@@ -240,66 +313,14 @@ def pair_response(model: MaterialModel, geom: ResonatorGeometry, omega: float,
             "hyperbolic medium)")
     if p1 == 0 or p2 == 0:
         return PairResponse(0.0, 0.0, 0, 0.0)
-
     eps = permittivity_at(model, omega)
-    eps0 = complex(geom.eps_spacer)
-    q, beta, A, r_eff = _series_ingredients(eps, eps0)
-    R, d, h = geom.R, geom.d, geom.h
-    # asymptotic per-term decay rate in x (spacer decay + one-way absorption)
-    h_exp = h if placement == "opposite_sides" else 2.0 * h
-    kappa = h_exp / R + abs(q.imag) * d / R * (1 if placement == "opposite_sides" else 0)
-
-    prefac = 2.0 * np.pi * p1 * p2 / R**3 * E2_PER_NM_MEV
-    if placement == "self":
-        v = (eps0 / eps.eps_parallel) * sqrt_ratio_inv(eps)
-        r1 = -(1.0 + 1j * v) / (1.0 - 1j * v)
-
-    def eval_terms(x: np.ndarray) -> np.ndarray:
-        theta = q * x * d / R
-        if placement == "opposite_sides":
-            if formulation == "direct":
-                inv = _inv_D_direct(theta, beta)
-            else:
-                inv = _inv_D_resummed(theta, A, r_eff)
-            return -prefac * x**2 * np.exp(-x * h / R) * inv
-        grow = theta.imag < 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            e2 = np.exp(2j * theta)
-            up = r1 * (1.0 - e2) / (1.0 - r1 * r1 * e2)
-            e2i = np.exp(-2j * theta)
-            dn = r1 * (e2i - 1.0) / (e2i - r1 * r1)
-        rho = np.where(grow, dn, up)
-        return prefac * x**2 * np.exp(-2.0 * x * h / R) * rho
-
-    amp = abs(prefac) * max(2.0 * abs(A) / max(1.0 - abs(r_eff), 1e-3), 4.0)
-
-    if n_terms is not None:
-        if n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
-        x = bessel_j0_zeros(n_terms)
-        total = complex(np.sum(eval_terms(x)))
-        bound = _tail_bound(float(x[-1]), kappa, amp)
-        return PairResponse(float(total.real), float(total.imag), n_terms, bound)
-
-    # adaptive: grow in blocks until the tail bound is below tol relative
-    total = 0.0 + 0.0j
-    n = 0
-    block = 64
-    max_terms = 32768
-    while True:
-        x = bessel_j0_zeros(n + block)[n:]
-        total += complex(np.sum(eval_terms(x)))
-        n += block
-        bound = _tail_bound(float(x[-1]), kappa, amp)
-        scale = max(abs(total.real), abs(total.imag), 1e-300)
-        if bound <= tol * scale or bound <= 1e-18:
-            break
-        if n >= max_terms:
-            warnings.warn(f"pair_response series stopped at {n} terms with tail bound "
-                          f"{bound:.3g} meV", stacklevel=2)
-            break
-        block = min(2 * block, 4096)
-    return PairResponse(float(total.real), float(total.imag), n, bound)
+    if n_terms is not None and n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    total, n, bound = _pair_series(eps, complex(geom.eps_spacer), geom.R,
+                                   np.array([geom.d], dtype=float), geom.h, p1, p2,
+                                   placement, formulation, tol, n_terms)
+    return PairResponse(float(total[0].real), float(total[0].imag), int(n[0]),
+                        float(bound[0]))
 
 
 # --- closed forms ----------------------------------------------------------------
@@ -432,36 +453,27 @@ class ResonanceMap:
 def resonance_map(model: MaterialModel, geom: ResonatorGeometry,
                   omega_range: tuple[float, float], aspect_range: tuple[float, float],
                   shape: tuple[int, int] = (64, 64), p: float = 1.0,
-                  tol: float = 1e-8, map_workers: int = 1) -> ResonanceMap:
+                  tol: float = 1e-8) -> ResonanceMap:
     """log10 |pair response| over an (omega, d/R) grid at fixed R, h, p.
 
     The ridge of maxima traces the super-resonance locus
-    Re sqrt(-eps_perp/eps_par)(w) = 4 m / (d/R).  Cells are independent;
-    map_workers > 1 evaluates rows in a thread pool with deterministic
-    ordering.
+    Re sqrt(-eps_perp/eps_par)(w) = 4 m / (d/R).  Each omega row is one
+    block evaluation of the opposite-sides series of pair_response (resummed
+    formulation) over all aspects, so memory stays bounded by one row.
     """
     n_w, n_a = shape
     omegas = np.linspace(*omega_range, n_w)
     aspects = np.linspace(*aspect_range, n_a)
-    bessel_j0_zeros(2048)  # warm the cache before any parallel section
-
-    def row(w: float) -> np.ndarray:
-        out = np.empty(n_a)
-        for j, a in enumerate(aspects):
-            g = ResonatorGeometry(R=geom.R, d=a * geom.R, h=geom.h,
-                                  eps_spacer=geom.eps_spacer)
-            r = pair_response(model, g, w, p, p, tol=tol)
-            out[j] = np.log10(max(r.magnitude, 1e-300))
-        return out
-
-    if map_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=map_workers) as ex:
-            rows = list(ex.map(row, omegas))
-    else:
-        rows = [row(w) for w in omegas]
-    return ResonanceMap(omegas=omegas, aspects=aspects,
-                        log10_magnitude=np.vstack(rows))
+    d = aspects * geom.R
+    if not np.all(d > 0):
+        raise ValueError(f"need d/R > 0 over the map, got aspect range {aspect_range}")
+    out = np.empty((n_w, n_a))
+    for i, w in enumerate(omegas):
+        total, _, _ = _pair_series(permittivity_at(model, w), complex(geom.eps_spacer),
+                                   geom.R, d, geom.h, p, p, "opposite_sides", "resummed",
+                                   tol)
+        out[i] = np.log10(np.maximum(np.hypot(total.real, total.imag), 1e-300))
+    return ResonanceMap(omegas=omegas, aspects=aspects, log10_magnitude=out)
 
 
 def hsr_locus_aspect(model: MaterialModel, omega: float, m: int = 1) -> float | None:

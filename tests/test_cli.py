@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperpol import dynamics
 from hyperpol.cli import main
+from hyperpol.errors import StiffnessError, TraceDriftError
 from hyperpol.scenario import RunManifest, load_scenario, validate_scenario
 
 BASE = """
@@ -287,3 +289,38 @@ def test_scenario_validation_notes(tmp_path):
     path, _ = write_scenario(tmp_path)
     notes = validate_scenario(path)
     assert any("qubits: 2" in n for n in notes)
+
+
+def test_fieldmap_singular_medium_is_input_error(tmp_path, capsys):
+    # a lossless parallel oscillator with omega_LO = 1500 cm^-1 gives eps_par = 0 there
+    mat = tmp_path / "zero.txt"
+    mat.write_text("[parallel]\neps_inf = 2.95\noscillator = 1370.0 1500.0 0.0\n"
+                   "[perp]\neps_inf = 4.9\n")
+    scn = tmp_path / "z.yaml"
+    prefix = tmp_path / "out" / "z"
+    scn.write_text(f"""
+material: {{file: {mat.name}}}
+fieldmap:
+  omega_cm1: 1500.0
+  rho_nm: {{start: 1.0, stop: 3.0, count: 3}}
+  z_nm: {{start: 1.0, stop: 3.0, count: 3}}
+output: {{prefix: {prefix}}}
+""")
+    assert main(["--config", str(scn), "fieldmap"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eps_parallel = 0" in err
+    assert not Path(f"{prefix}_fieldmap.csv").exists()
+
+
+@pytest.mark.parametrize("error", [StiffnessError, TraceDriftError])
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, error):
+    def failing_integrate(*args, **kwargs):
+        raise error("step size underflow at t = 0.01 ps")
+
+    monkeypatch.setattr(dynamics, "integrate", failing_integrate)
+    path, _ = write_scenario(tmp_path)
+    for command in ("gate", "evolve"):
+        assert main(["--config", str(path), command]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "step size underflow" in err

@@ -265,3 +265,58 @@ def test_field_map_masks_cone_singularities(hbn_lossless):
     intensity = field_map(eps, Z_DIPOLE, grid)
     assert np.isnan(intensity[0, 0])
     assert np.isfinite(intensity[1, 1])
+
+
+def field_loop(eps, src, grid):
+    """The field map rebuilt point by point from dipole_field."""
+    out = np.empty((grid.z[2], grid.rho[2]))
+    for i, zz in enumerate(grid.z_axis()):
+        for j, rr in enumerate(grid.rho_axis()):
+            try:
+                out[i, j] = dipole_field(eps, src, (rr, 0.0, zz)).intensity
+            except (ConeSingularityError, ValueError):
+                out[i, j] = np.nan
+    return out
+
+
+def assert_same_map(got, ref):
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0, equal_nan=True)
+
+
+def test_field_map_matches_dipole_field_on_lossless_cone(hbn_lossless):
+    eps = permittivity_at(hbn_lossless, 1500.0)
+    slope = math.sqrt(-eps.eps_parallel.real / eps.eps_perp.real)
+    # rho steps of 2 and z steps of 2*slope put the diagonal nodes on the cone
+    grid = FieldGrid(rho=(2.0, 20.0, 10), z=(2.0 * slope, 20.0 * slope, 10))
+    got = field_map(eps, Z_DIPOLE, grid)
+    ref = field_loop(eps, Z_DIPOLE, grid)
+    assert np.isnan(np.diag(got)).sum() >= 5
+    assert_same_map(got, ref)
+
+
+def test_field_map_matches_dipole_field_at_source():
+    eps = uniaxial(2.0, 3.0)
+    grid = FieldGrid(rho=(0.0, 4.0, 5), z=(-2.0, 2.0, 5))
+    got = field_map(eps, Z_DIPOLE, grid)
+    assert np.isnan(got[2, 0]) and np.isnan(got).sum() == 1
+    assert_same_map(got, field_loop(eps, Z_DIPOLE, grid))
+
+
+def test_field_map_matches_dipole_field_off_origin_complex_moment(hbn):
+    eps = permittivity_at(hbn, 1480.0)
+    src = DipoleSource(moment=(0.3 + 0.2j, 0.0, 1.0 - 0.5j), position=(3.0, 0.0, 5.0))
+    grid = FieldGrid(rho=(-9.0, 31.0, 21), z=(-5.0, 35.0, 17))
+    got = field_map(eps, src, grid)
+    assert np.isnan(got[4, 6]) and np.isnan(got).sum() == 1   # the source node (3, 0, 5)
+    assert_same_map(got, field_loop(eps, src, grid))
+
+
+@pytest.mark.parametrize("epar, eperp, name", [(0.0, 2.0, "eps_parallel"),
+                                               (2.0, 0.0, "eps_perp")])
+def test_singular_medium_raises(epar, eperp, name):
+    eps = uniaxial(epar, eperp)
+    with pytest.raises(SingularMediumError, match=f"{name} = 0"):
+        field_map(eps, Z_DIPOLE, FieldGrid(rho=(1.0, 3.0, 3), z=(1.0, 3.0, 3)))
+    with pytest.raises(SingularMediumError, match=f"{name} = 0"):
+        dipole_field(eps, Z_DIPOLE, (1.0, 0.0, 2.0))

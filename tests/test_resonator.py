@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from hyperpol.constants import E2_PER_NM_MEV, omega_to_mev
 from hyperpol.errors import DivergenceError, NoResonanceError, NonHyperbolicError
-from hyperpol.material import permittivity_at
+from hyperpol.material import loss_scaled, permittivity_at
 from hyperpol.optics import sqrt_ratio
 from hyperpol.resonator import (
     ResonatorGeometry,
@@ -443,3 +443,59 @@ def test_resonance_map_row_peak_on_locus(hbn):
     j = int(np.argmax(row))
     cell = rm.aspects[1] - rm.aspects[0]
     assert abs(rm.aspects[j] - a_loc) <= cell
+
+
+def scalar_map(model, geom, rm, tol=1e-8):
+    """The resonance map rebuilt cell by cell from pair_response, with term counts."""
+    cells = [[pair_response(model, ResonatorGeometry(R=geom.R, d=a * geom.R, h=geom.h,
+                                                     eps_spacer=geom.eps_spacer),
+                            float(w), 1.0, 1.0, tol=tol) for a in rm.aspects]
+             for w in rm.omegas]
+    log10_m = np.array([[np.log10(max(r.magnitude, 1e-300)) for r in row] for row in cells])
+    return log10_m, np.array([[r.n_terms for r in row] for row in cells])
+
+
+# |delta log10 m| <= 1e-13 / ln 10  <=>  magnitudes agree within 1e-13 relative
+LOG10_REL_1E13 = 1e-13 / np.log(10.0)
+
+
+def test_resonance_map_matches_pair_response_across_band_edge(hbn, band):
+    # the window straddles the lower edge of the upper band, and the low loss
+    # makes cells of one row stop after different numbers of terms
+    model = loss_scaled(hbn, 0.05)
+    geom = ResonatorGeometry(R=100.0, d=300.0, h=2.0)
+    rm = resonance_map(model, geom, omega_range=(band.omega_low - 40.0, band.omega_low + 40.0),
+                       aspect_range=(2.8, 4.1), shape=(9, 13))
+    assert rm.omegas[0] < band.omega_low < rm.omegas[-1]
+    ref, terms = scalar_map(model, geom, rm)
+    assert any(len(set(row)) > 1 for row in terms)
+    assert np.all(np.isfinite(rm.log10_magnitude))
+    np.testing.assert_allclose(rm.log10_magnitude, ref, rtol=0, atol=LOG10_REL_1E13)
+
+
+def test_resonance_map_matches_pair_response_lossless(hbn_lossless):
+    # lossless with a spacer: |r_eff| = 1 and the tail decays through h alone
+    geom = ResonatorGeometry(R=60.0, d=200.0, h=2.0, eps_spacer=4.0 + 0.0j)
+    rm = resonance_map(hbn_lossless, geom, omega_range=(1420.0, 1580.0),
+                       aspect_range=(2.6, 4.4), shape=(7, 11), tol=1e-10)
+    ref, _ = scalar_map(hbn_lossless, geom, rm, tol=1e-10)
+    np.testing.assert_allclose(rm.log10_magnitude, ref, rtol=0, atol=LOG10_REL_1E13)
+
+
+def test_resonance_map_warns_once_at_term_limit(hbn_lossless):
+    # h = 0 and no loss: the tail bound never falls, every cell hits the limit
+    geom = ResonatorGeometry(R=100.0, d=300.0, h=0.0)
+    with pytest.warns(UserWarning, match="stopped at .* in 3 of 3 cells") as rec:
+        resonance_map(hbn_lossless, geom, omega_range=(1500.0, 1500.0),
+                      aspect_range=(2.9, 3.1), shape=(1, 3))
+    assert len(rec) == 1
+    with pytest.warns(UserWarning, match=r"stopped at \d+ terms with tail bound inf meV$"):
+        r = pair_response(hbn_lossless, geom, 1500.0, 1.0, 1.0)
+    assert r.n_terms >= 32768
+
+
+def test_resonance_map_rejects_nonpositive_aspect(hbn):
+    geom = ResonatorGeometry(R=100.0, d=300.0, h=5.0)
+    with pytest.raises(ValueError, match="d/R > 0"):
+        resonance_map(hbn, geom, omega_range=(1450.0, 1550.0),
+                      aspect_range=(0.0, 3.0), shape=(2, 4))
