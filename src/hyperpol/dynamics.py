@@ -15,15 +15,18 @@ with d rho/dt = (i/hbar)[rho, H] + L[rho]/hbar; J, Gamma, gamma are energies
 (meV) and hbar = 0.6582119 meV ps converts to rates.  The drive line is
 implemented as the Hermitian pair (the raising operator plus its conjugate).
 Basis ordering: qubit 0 is the least significant bit, |g> = 0, |e> = 1.
-Dense matrices; practical up to N ~ 12.
+Each segment builds its generator once.  ``evolve`` applies it in operator
+form (d x d products, d = 2^N); ``channel_superoperator`` and
+``liouvillian_matrix`` form the dense 4^N x 4^N generator.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm
 
 from .constants import HBAR_MEV_PS
 from .errors import ChannelError, TraceDriftError
@@ -159,8 +162,6 @@ class _Register:
         self.sz = [_site_op(_SZ, j, n) for j in range(n)]
         self.seg = [_site_op(_SEG, j, n) for j in range(n)]
         self.sge = [_site_op(_SGE, j, n) for j in range(n)]
-        # seg_i @ sge_j products used by both dissipator and its adjoint part
-        self.seg_sge = [[self.seg[i] @ self.sge[j] for j in range(n)] for i in range(n)]
 
 
 _REGISTRY: dict[int, _Register] = {}
@@ -186,6 +187,16 @@ def _seg_arrays(qubits, segment: Segment):
     return theta, drive, det
 
 
+def _drive_operator(reg: _Register, drive, det, t: float) -> np.ndarray:
+    """sum_j (a_j seg_j + a_j* sge_j) with a_j = drive_j e^{-i det_j t / hbar} (meV)."""
+    out = np.zeros((reg.dim, reg.dim), dtype=complex)
+    for j in np.flatnonzero(drive):
+        # drive amplitude is p*.E; it multiplies the raising operator
+        a = drive[j] * np.exp(-1j * det[j] * t / HBAR_MEV_PS)
+        out += a * reg.seg[j] + np.conj(a) * reg.sge[j]
+    return out
+
+
 def build_hamiltonian(qubits: list[QubitSpec], couplings: CouplingMatrix,
                       segment: Segment, t: float = 0.0) -> np.ndarray:
     """Register Hamiltonian (meV) at time t within the segment."""
@@ -204,41 +215,64 @@ def build_hamiltonian(qubits: list[QubitSpec], couplings: CouplingMatrix,
             cij = theta[i] * theta[j] * couplings.J[i, j]
             if cij != 0.0:
                 h -= cij * reg.seg[i] @ reg.sge[j]
-    for j in range(n):
-        if drive[j] != 0:
-            # drive amplitude is p*.E; it multiplies the raising operator
-            ph = np.exp(-1j * det[j] * t / HBAR_MEV_PS)
-            h += drive[j] * ph * reg.seg[j] + np.conj(drive[j] * ph) * reg.sge[j]
+    h += _drive_operator(reg, drive, det, t)
     return h
 
 
-def _dissipator_coeffs(qubits, couplings: CouplingMatrix, segment: Segment) -> np.ndarray:
-    theta, _, _ = _seg_arrays(qubits, segment)
-    n = len(qubits)
-    c = np.outer(theta, theta) * couplings.Gamma
-    for j, q in enumerate(qubits):
-        c[j, j] += (1.0 - theta[j]) * q.gamma_background
-    if np.linalg.eigvalsh(c).min() < -1e-10:
-        raise ValueError("dissipator coefficient matrix is indefinite")
-    return c
+class _Generator:
+    """The Lindblad generator of one segment, built once, in operator form:
+
+        d rho/dt = G rho + rho G^dag + sum_i sge_i rho W_i,   G = (-iH - K)/hbar,
+        K = sum_ij c_ij seg_i sge_j,   W_i = (2/hbar) B_i^dag,   B_i = sum_j c_ij sge_j.
+
+    A detuned drive adds its phase term to G on each call.  Called as f(t, rho)
+    with rho of shape (..., d, d); ``H`` overrides the segment's Hamiltonian.
+    """
+
+    def __init__(self, qubits: list[QubitSpec], couplings: CouplingMatrix,
+                 segment: Segment, H: np.ndarray | None = None):
+        n = len(qubits)
+        reg = _register(n)
+        theta, drive, det = _seg_arrays(qubits, segment)
+        c = np.outer(theta, theta) * couplings.Gamma
+        c[np.diag_indices(n)] += (1.0 - theta) * [q.gamma_background for q in qubits]
+        if np.linalg.eigvalsh(c).min() < -1e-10:
+            raise ValueError("dissipator coefficient matrix is indefinite")
+        self.detuned = H is None and bool(np.any(drive != 0) and np.any(det != 0))
+        if H is None:
+            H = build_hamiltonian(qubits, couplings,
+                                  replace(segment, drive=()) if self.detuned else segment)
+        B = np.tensordot(c, np.array(reg.sge), axes=(1, 0))
+        K = sum(reg.seg[i] @ B[i] for i in range(n))
+        self.G = (-1j * H - K) / HBAR_MEV_PS
+        self.G_dag = self.G.conj().T
+        self.jumps = [(reg.sge[i], (2.0 / HBAR_MEV_PS) * B[i].conj().T)
+                      for i in range(n) if np.any(c[i] != 0.0)]
+        self._reg, self._drive, self._det = reg, drive, det
+
+    def __call__(self, t: float, rho: np.ndarray) -> np.ndarray:
+        G, G_dag = self.G, self.G_dag
+        if self.detuned:
+            G = G - (1j / HBAR_MEV_PS) * _drive_operator(self._reg, self._drive, self._det, t)
+            G_dag = G.conj().T
+        out = G @ rho + rho @ G_dag
+        for s, w in self.jumps:
+            out += s @ rho @ w
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """M with d vec(rho)/dt = M vec(rho), column-stacking: vec(A X B) = (B^T kron A) vec(X)."""
+        if self.detuned:
+            raise ValueError("liouvillian_matrix requires time-independent H (zero detuning)")
+        eye = np.eye(len(self.G))
+        return (np.kron(eye, self.G) + np.kron(self.G.conj(), eye)
+                + sum(np.kron(w.T, s) for s, w in self.jumps))
 
 
 def lindblad_rhs(rho: np.ndarray, H: np.ndarray, qubits: list[QubitSpec],
                  couplings: CouplingMatrix, segment: Segment) -> np.ndarray:
     """d rho / dt in 1/ps."""
-    n = len(qubits)
-    reg = _register(n)
-    c = _dissipator_coeffs(qubits, couplings, segment)
-    out = (1j / HBAR_MEV_PS) * (rho @ H - H @ rho)
-    for i in range(n):
-        for j in range(n):
-            cij = c[i, j]
-            if cij == 0.0:
-                continue
-            ss = reg.seg_sge[i][j]  # seg_i sge_j
-            out += (cij / HBAR_MEV_PS) * (
-                2.0 * reg.sge[i] @ rho @ reg.seg[j] - ss @ rho - rho @ ss)
-    return out
+    return _Generator(qubits, couplings, segment, H)(0.0, rho)
 
 
 def liouvillian_matrix(qubits: list[QubitSpec], couplings: CouplingMatrix,
@@ -246,29 +280,9 @@ def liouvillian_matrix(qubits: list[QubitSpec], couplings: CouplingMatrix,
     """Vectorized generator M with d vec(rho)/dt = M vec(rho), column-stacking.
 
     Drive phases must be static (detuning 0) for the matrix form to apply.
-    This is the independent brute-force oracle: propagation is
-    expm(M t) vec(rho0).
+    Propagation is expm(M t) vec(rho0).
     """
-    _, drive, det = _seg_arrays(qubits, segment)
-    if np.any(drive != 0) and np.any(det != 0):
-        raise ValueError("liouvillian_matrix requires time-independent H (zero detuning)")
-    n = len(qubits)
-    reg = _register(n)
-    dim = reg.dim
-    eye = np.eye(dim, dtype=complex)
-    H = build_hamiltonian(qubits, couplings, segment, 0.0)
-    M = (1j / HBAR_MEV_PS) * (np.kron(H.T, eye) - np.kron(eye, H))
-    c = _dissipator_coeffs(qubits, couplings, segment)
-    for i in range(n):
-        for j in range(n):
-            cij = c[i, j]
-            if cij == 0.0:
-                continue
-            ss = reg.seg_sge[i][j]
-            M += (cij / HBAR_MEV_PS) * (
-                2.0 * np.kron(reg.seg[j].T, reg.sge[i])
-                - np.kron(eye, ss) - np.kron(ss.T, eye))
-    return M
+    return _Generator(qubits, couplings, segment).matrix()
 
 
 # --- states and validation -------------------------------------------------------
@@ -318,14 +332,6 @@ def evolve(rho0: np.ndarray, qubits: list[QubitSpec], couplings: CouplingMatrix,
     states = [rho.copy()]
     t_offset = 0.0
     for seg in schedule.segments:
-        H_static = build_hamiltonian(qubits, couplings, seg, 0.0)
-        _, drive, det = _seg_arrays(qubits, seg)
-        time_dep = bool(np.any(drive != 0) and np.any(det != 0))
-
-        def rhs(t, y):
-            H = build_hamiltonian(qubits, couplings, seg, t) if time_dep else H_static
-            return lindblad_rhs(y, H, qubits, couplings, seg)
-
         def record(t, y, _off=t_offset):
             drift = abs(np.trace(y) - 1.0)
             if drift > 1e-8:
@@ -335,7 +341,7 @@ def evolve(rho0: np.ndarray, qubits: list[QubitSpec], couplings: CouplingMatrix,
             times.append(_off + t)
             states.append(np.array(y))
 
-        rho = integrate(rhs, 0.0, seg.duration, rho, tol=tol,
+        rho = integrate(_Generator(qubits, couplings, seg), 0.0, seg.duration, rho, tol=tol,
                         fixed_step=fixed_step, record=record)
         t_offset += seg.duration
         if check:
@@ -347,31 +353,24 @@ def evolve(rho0: np.ndarray, qubits: list[QubitSpec], couplings: CouplingMatrix,
 
 def channel_superoperator(qubits: list[QubitSpec], couplings: CouplingMatrix,
                           schedule: ControlSchedule, tol: float = 1e-10) -> np.ndarray:
-    """Column-stacking superoperator of the schedule, by evolving a matrix-unit basis.
+    """Column-stacking superoperator of the schedule, composed segment by segment.
 
-    The Lindblad right-hand side is linear, so the matrix units E_mn evolve
-    directly (density-matrix checks disabled for these non-physical inputs).
+    A constant segment contributes expm(M duration) of its generator M.  A
+    detuned drive evolves the stack of all d^2 matrix units E_mk with adaptive
+    RK45 (the right-hand side is linear, so non-physical inputs evolve directly).
     """
-    n = len(qubits)
-    dim = 2 ** n
-    S = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for m in range(dim):
-        for k in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[m, k] = 1.0
-            out = e
-            for seg in schedule.segments:
-                H_static = build_hamiltonian(qubits, couplings, seg, 0.0)
-                _, drive, det = _seg_arrays(qubits, seg)
-                time_dep = bool(np.any(drive != 0) and np.any(det != 0))
-
-                def rhs(t, y):
-                    H = build_hamiltonian(qubits, couplings, seg, t) if time_dep else H_static
-                    return lindblad_rhs(y, H, qubits, couplings, seg)
-
-                out = integrate(rhs, 0.0, seg.duration, out, tol=tol)
-            # vec(E_mk) has its 1 at column-stacking index k*dim + m
-            S[:, k * dim + m] = out.T.reshape(-1)
+    dim = 2 ** len(qubits)
+    S = np.eye(dim * dim, dtype=complex)
+    for seg in schedule.segments:
+        gen = _Generator(qubits, couplings, seg)
+        if gen.detuned:
+            # unit p is E_mk with p = k*d + m, so vec(unit p) is basis vector p
+            units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim).transpose(0, 2, 1)
+            out = integrate(gen, 0.0, seg.duration, units, tol=tol)
+            S_seg = out.transpose(0, 2, 1).reshape(dim * dim, -1).T
+        else:
+            S_seg = expm(gen.matrix() * seg.duration)
+        S = S_seg @ S
     return S
 
 

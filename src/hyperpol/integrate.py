@@ -30,6 +30,8 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER = 5.0
+# attempted adaptive steps per call: 40x the 2475 of the shipped evolve run
+MAX_STEPS = 100_000
 
 
 def _step(f, t, y, dt):
@@ -50,6 +52,7 @@ def integrate(f, t0: float, t1: float, y0: np.ndarray, tol: float = 1e-10,
     Adaptive mode bounds the per-step error estimate by
     tol * max(norm(y), 1) (max-norm).  The final step lands on t1 exactly.
     ``record(t, y)`` is invoked after every accepted step.  Returns y(t1).
+    In adaptive mode, more than MAX_STEPS attempted steps raise StiffnessError.
     """
     y = np.array(y0, dtype=complex)
     t = t0
@@ -69,7 +72,14 @@ def integrate(f, t0: float, t1: float, y0: np.ndarray, tol: float = 1e-10,
 
     dt = span / 100.0
     dt_min = span * 1e-14
+    steps = 0
     while t < t1:
+        if steps == MAX_STEPS:
+            raise StiffnessError(
+                f"step budget exhausted: {steps} attempted steps reached only "
+                f"t={t:.6g} ps of [{t0:.6g}, {t1:.6g}]; the decay rates are too stiff "
+                "for the explicit pair - reduce them or the segment duration")
+        steps += 1
         dt = min(dt, t1 - t)
         y_new, err = _step(f, t, y, dt)
         scale = max(float(np.max(np.abs(y))), 1.0)

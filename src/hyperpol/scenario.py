@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -73,6 +74,16 @@ class RunManifest:
         return RunManifest(**data)
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats: 1.0e6 and 1e-3, not only 1.0e+6."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def _need(cfg: dict, key: str, ctx: str):
     if key not in cfg:
         raise ScenarioError(f"{ctx}: missing required key {key!r}")
@@ -110,7 +121,7 @@ def load_scenario(path, out_prefix: str | None = None) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
     if not isinstance(raw, dict):

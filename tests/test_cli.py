@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperpol import dynamics
+from hyperpol import dynamics, integrate
 from hyperpol.cli import main
-from hyperpol.errors import StiffnessError, TraceDriftError
+from hyperpol.errors import ScenarioError, StiffnessError, TraceDriftError
 from hyperpol.scenario import RunManifest, load_scenario, validate_scenario
 
 BASE = """
@@ -124,6 +124,16 @@ def test_gate_exit_codes_and_summary(tmp_path):
     assert Path(f"{prefix}_gate_process.csv").exists()
 
 
+def test_gate_shipped_scenario_reference(tmp_path):
+    scenario = Path(__file__).resolve().parents[1] / "scripts" / "hbn_scenario.yaml"
+    prefix = tmp_path / "hbn"
+    assert main(["--config", str(scenario), "--out-prefix", str(prefix), "gate"]) == 0
+    header, data = read_csv(f"{prefix}_gate_summary.csv")
+    row = dict(zip(header, data[0]))
+    assert f"{float(row['avg_fidelity']):.6f}" == "0.975354"
+    assert f"{float(row['J12_meV']):.1f}" == "42.3"
+
+
 def test_gate_impossible_threshold(tmp_path):
     path, _ = write_scenario(tmp_path, threshold=1.01)
     assert main(["--config", str(path), "gate"]) == 3
@@ -225,6 +235,24 @@ def test_design_window_h_above_hc(tmp_path):
     assert row["feasible"] == "false"
 
 
+@pytest.mark.parametrize("literal, value", [("1.0e6", 1.0e6), ("1e-3", 1.0e-3),
+                                            ("1.0e+6", 1.0e6)])
+def test_exponent_floats_load(tmp_path, literal, value):
+    path, _ = write_scenario(tmp_path)
+    path.write_text(path.read_text().replace(
+        "p_enm: 1.0}", f"p_enm: 1.0, gamma_background_mev: {literal}}}", 1))
+    assert load_scenario(path).qubits[0].gamma_background == value
+
+
+def test_non_number_names_dotted_path(tmp_path):
+    path, _ = write_scenario(tmp_path)
+    path.write_text(path.read_text().replace(
+        "p_enm: 1.0}", "p_enm: 1.0, gamma_background_mev: abc}", 1))
+    with pytest.raises(ScenarioError,
+                       match=r"qubits\[0\]: gamma_background_mev must be a number, got 'abc'"):
+        load_scenario(path)
+
+
 def test_evolve_trajectory_csv(tmp_path):
     path, prefix = write_scenario(tmp_path)
     assert main(["--config", str(path), "evolve"]) == 0
@@ -324,3 +352,12 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, error):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "step size underflow" in err
+
+
+def test_step_budget_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrate, "MAX_STEPS", 10)
+    path, _ = write_scenario(tmp_path)
+    assert main(["--config", str(path), "evolve"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "step budget" in err

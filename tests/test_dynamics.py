@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from hyperpol import integrate
 from hyperpol.constants import HBAR_MEV_PS
 from hyperpol.dynamics import (
     ISWAP,
@@ -21,6 +22,7 @@ from hyperpol.dynamics import (
     liouvillian_matrix,
     unitary_superoperator,
     validate_density_matrix,
+    _Generator,
 )
 from hyperpol.errors import ChannelError, StiffnessError
 
@@ -150,6 +152,64 @@ def test_coupling_matrix_projection():
                        Gamma=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def _site(op, j, n):
+    out = np.eye(1, dtype=complex)
+    for k in range(n):
+        out = np.kron(op if k == j else np.eye(2), out)
+    return out
+
+
+def reference_rhs(rho, qubits, cm, segment, t):
+    """The module docstring's master equation as an explicit double sum (oracle)."""
+    n = len(qubits)
+    seg_ops = [_site(np.array([[0, 0], [1, 0]], dtype=complex), j, n) for j in range(n)]
+    sge_ops = [s.T for s in seg_ops]
+    H = build_hamiltonian(qubits, cm, segment, t)
+    theta = np.array(segment.theta, dtype=float)
+    c = np.outer(theta, theta) * cm.Gamma
+    for j, q in enumerate(qubits):
+        c[j, j] += (1.0 - theta[j]) * q.gamma_background
+    out = (1j / HBAR_MEV_PS) * (rho @ H - H @ rho)
+    for i in range(n):
+        for j in range(n):
+            ss = seg_ops[i] @ sge_ops[j]
+            out += (c[i, j] / HBAR_MEV_PS) * (
+                2.0 * sge_ops[i] @ rho @ seg_ops[j] - ss @ rho - rho @ ss)
+    return out, (np.abs(H).max() + np.abs(c).sum()) / HBAR_MEV_PS
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), data=st.data(), detuned=st.booleans(),
+       t=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_generator_against_double_sum(n, data, detuned, t, seed):
+    rng = np.random.default_rng(seed)
+    theta = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    qubits = [QubitSpec(omega_eg=w, p=1.0, gamma_background=g, theta=th)
+              for w, g, th in zip(rng.uniform(-200, 200, n), rng.uniform(0, 1, n), theta)]
+    j = rng.uniform(-50, 50, (n, n))
+    a = rng.uniform(-1, 1, (n, n))
+    cm = CouplingMatrix(J=j + j.T, Gamma=a @ a.T)
+    drive = rng.uniform(-5, 5, n) + 1j * rng.uniform(-5, 5, n)
+    drive[rng.random(n) < 0.3] = 0.0
+    det = rng.uniform(-20, 20, n) if detuned else np.zeros(n)
+    s = Segment(duration=1.0, theta=theta, drive=tuple(drive), detuning=tuple(det))
+    x = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = x @ x.conj().T
+    rho /= np.trace(rho)
+    ref, scale = reference_rhs(rho, qubits, cm, s, t)
+    bound = 1e-13 * scale
+    # the segment's own generator, with the drive phase at t
+    assert np.max(np.abs(_Generator(qubits, cm, s)(t, rho) - ref)) <= bound
+    h = build_hamiltonian(qubits, cm, s, t)
+    assert np.max(np.abs(lindblad_rhs(rho, h, qubits, cm, s) - ref)) <= bound
+    if not (detuned and np.any(drive != 0)):
+        m = liouvillian_matrix(qubits, cm, s)
+        assert np.max(np.abs(unvec(m @ vec(rho), 2**n) - ref)) <= bound
+    else:
+        with pytest.raises(ValueError, match="time-independent"):
+            liouvillian_matrix(qubits, cm, s)
+
+
 # --- evolution -----------------------------------------------------------------------
 
 def test_free_evolution_populations_and_coherences():
@@ -267,6 +327,13 @@ def test_stiffness_error():
         evolve(basis_state("eg"), qubits, cm, ControlSchedule((seg(1.0),)), tol=1e-10)
 
 
+def test_step_budget(monkeypatch):
+    qubits, cm = pair(J=1.0, g11=0.5, g22=0.5)
+    monkeypatch.setattr(integrate, "MAX_STEPS", 10)
+    with pytest.raises(StiffnessError, match="10 attempted steps"):
+        evolve(basis_state("eg"), qubits, cm, ControlSchedule((seg(1.0),)), tol=1e-10)
+
+
 def test_segment_boundaries_exact():
     qubits, cm = pair(J=1.0)
     traj = evolve(basis_state("eg"), qubits, cm,
@@ -332,6 +399,29 @@ def test_channel_superoperator_of_unitary_evolution():
     t_gate = np.pi * HBAR_MEV_PS / (2 * J)
     s = channel_superoperator(qubits, cm, ControlSchedule((seg(t_gate),)), tol=1e-12)
     assert np.max(np.abs(s - unitary_superoperator(ISWAP))) < 1e-7
+
+
+def test_channel_superoperator_against_rk45():
+    # a detuned drive, then exchange: the order of composition matters
+    qubits = [QubitSpec(omega_eg=3.0, p=1.0, gamma_background=0.05),
+              QubitSpec(omega_eg=4.0, p=1.0, gamma_background=0.02)]
+    cm = CouplingMatrix(J=np.array([[0.0, 1.2], [1.2, 0.0]]),
+                        Gamma=np.array([[0.03, 0.01], [0.01, 0.04]]))
+    schedule = ControlSchedule((
+        seg(0.3, theta=(False, True), drive=(0.6 + 0.3j, 0.0), detuning=(1.5, 0.0)),
+        seg(0.4)))
+    S = channel_superoperator(qubits, cm, schedule, tol=1e-12)
+
+    def run(x):
+        return vec(evolve(x, qubits, cm, schedule, tol=1e-12, check=False).states[-1])
+
+    d = 4
+    units = {(m, k): np.outer(np.eye(d)[m], np.eye(d)[k]) for m in range(d) for k in range(d)}
+    diag = [run(units[m, m]) for m in range(d)]
+    # evolve monitors the trace, so an off-diagonal unit rides on I/d (trace 1)
+    for (m, k), e in units.items():
+        col = diag[m] if m == k else run(np.eye(d) / d + e) - sum(diag) / d
+        assert np.max(np.abs(S[:, k * d + m] - col)) < 1e-9
 
 
 # --- the gate ------------------------------------------------------------------------
