@@ -3,9 +3,12 @@
 Subcommands: permittivity, bands, fieldmap, foci, resonance, coupling-sweep,
 design-window, evolve, gate.  Every run writes the requested CSVs plus a
 JSON manifest (<prefix>_<command>_manifest.json) listing output files and
-column schemas.  Floats are serialized with 9 significant digits and sweep
-cells are collected in input order, so identical scenario + version produce
-byte-identical files.  --threads is accepted for compatibility and ignored.
+column schemas.  Tables are written column by column from arrays: floats
+with 9 significant digits, ints and strings as they are, bools as true/false.
+Grid rows run with the last axis fastest: rho within z in fieldmap.csv, d/R
+within omega in resonance_map.csv, col within row in gate_process.csv.
+Sweep cells are collected in input order, so identical scenario + version
+produce byte-identical files.  --threads is accepted and ignored.
 
 Exit codes: 0 success, 2 input error (scenario, material file, invalid
 parameter), 3 gate fidelity below the configured threshold, 4 numerical
@@ -27,6 +30,8 @@ from .material import hyperbolic_bands, permittivity_at, upper_band
 from .scenario import (
     RunManifest,
     Scenario,
+    _count,
+    _num,
     axis_range,
     build_coupling_matrix,
     load_scenario,
@@ -36,28 +41,22 @@ from .scenario import (
 )
 
 
-def fmt(x) -> str:
-    """Fixed 9-significant-digit float formatting for reproducible CSVs."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return f"{x:.9g}"
+_FORMATS = {"b": lambda v: "true" if v else "false", "f": "{:.9g}".format}  # else str
 
 
-def write_csv(path: Path, columns: list[str], rows, comments: list[str] = ()) -> None:
+def _column(values) -> list[str]:
+    a = np.asarray(values)
+    return list(map(_FORMATS.get(a.dtype.kind, str), a.tolist()))
+
+
+def write_csv(path: Path, table: dict, manifest: RunManifest, comments=()) -> None:
+    """Write {column: 1-D values} as a CSV and list it in the manifest."""
+    lines = [f"# {line}" for line in comments] + [",".join(table)]
+    lines += map(",".join, zip(*map(_column, table.values())))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
+    manifest.add_output(str(path), list(table))
 
 
 def _out(sc: Scenario, name: str) -> Path:
@@ -70,29 +69,24 @@ def cmd_permittivity(sc: Scenario, args, manifest: RunManifest) -> int:
     cfg = sc.raw.get("permittivity", {})
     axis = axis_range(cfg.get("omega_cm1", {"start": 600.0, "stop": 1800.0, "count": 601}),
                       "permittivity.omega_cm1")
-    cols = ["omega_cm1", "re_eps_par", "im_eps_par", "re_eps_perp", "im_eps_perp"]
-    rows = []
-    for w in axis:
-        eps = permittivity_at(sc.material, float(w))
-        rows.append([w, eps.eps_parallel.real, eps.eps_parallel.imag,
-                     eps.eps_perp.real, eps.eps_perp.imag])
-    path = _out(sc, "permittivity.csv")
-    write_csv(path, cols, rows)
-    manifest.add_output(str(path), cols)
+    eps = permittivity_at(sc.material, axis)
+    write_csv(_out(sc, "permittivity.csv"),
+              {"omega_cm1": axis,
+               "re_eps_par": eps.eps_parallel.real, "im_eps_par": eps.eps_parallel.imag,
+               "re_eps_perp": eps.eps_perp.real, "im_eps_perp": eps.eps_perp.imag}, manifest)
     return 0
 
 
 def cmd_bands(sc: Scenario, args, manifest: RunManifest) -> int:
     cfg = sc.raw.get("band", {})
-    lo = cfg.get("omega_min_cm1", 400.0)
-    hi = cfg.get("omega_max_cm1", 2200.0)
+    lo = _num(cfg, "omega_min_cm1", "band", default=400.0)
+    hi = _num(cfg, "omega_max_cm1", "band", default=2200.0)
     bands = hyperbolic_bands(sc.material, (lo, hi))
-    cols = ["omega_low_cm1", "omega_high_cm1", "band_type", "center_mev"]
-    rows = [[b.omega_low, b.omega_high, b.band_type.value, omega_to_mev(b.center)]
-            for b in bands]
-    path = _out(sc, "bands.csv")
-    write_csv(path, cols, rows)
-    manifest.add_output(str(path), cols)
+    write_csv(_out(sc, "bands.csv"),
+              {"omega_low_cm1": [b.omega_low for b in bands],
+               "omega_high_cm1": [b.omega_high for b in bands],
+               "band_type": [b.band_type.value for b in bands],
+               "center_mev": [omega_to_mev(b.center) for b in bands]}, manifest)
     for b in bands:
         print(f"{b.band_type.value}: [{b.omega_low:.1f}, {b.omega_high:.1f}] cm^-1 "
               f"(center {omega_to_mev(b.center):.1f} meV)")
@@ -112,19 +106,15 @@ def cmd_fieldmap(sc: Scenario, args, manifest: RunManifest) -> int:
                             z=(float(z_axis[0]), float(z_axis[-1]), len(z_axis)))
     src = optics.DipoleSource(moment=np.asarray(p, dtype=complex))
     intensity = optics.field_map(eps, src, grid)
-    cols = ["rho_nm", "z_nm", "intensity"]
-    rows = []
-    for i, zz in enumerate(grid.z_axis()):
-        for j, rr in enumerate(grid.rho_axis()):
-            rows.append([rr, zz, intensity[i, j]])
-    meta = [f"omega_cm1 = {fmt(omega)}",
+    z, rho = np.meshgrid(grid.z_axis(), grid.rho_axis(), indexing="ij")
+    meta = [f"omega_cm1 = {omega:.9g}",
             f"dipole_enm = {p}",
-            f"rho_nm = {fmt(rho_axis[0])}..{fmt(rho_axis[-1])} n={len(rho_axis)}",
-            f"z_nm = {fmt(z_axis[0])}..{fmt(z_axis[-1])} n={len(z_axis)}",
+            f"rho_nm = {rho_axis[0]:.9g}..{rho_axis[-1]:.9g} n={len(rho_axis)}",
+            f"z_nm = {z_axis[0]:.9g}..{z_axis[-1]:.9g} n={len(z_axis)}",
             "intensity = |E|^2 in (e/nm^2)^2; nan marks the lossless resonance cone"]
-    path = _out(sc, "fieldmap.csv")
-    write_csv(path, cols, rows, comments=meta)
-    manifest.add_output(str(path), cols)
+    write_csv(_out(sc, "fieldmap.csv"),
+              {"rho_nm": rho.ravel(), "z_nm": z.ravel(), "intensity": intensity.ravel()},
+              manifest, comments=meta)
     return 0
 
 
@@ -135,15 +125,12 @@ def cmd_foci(sc: Scenario, args, manifest: RunManifest) -> int:
         raise ScenarioError("foci needs a geometry section (R_nm)")
     eps = permittivity_at(sc.material, omega)
     fs = optics.waveguide_foci(eps, sc.geometry.R, a0=float(cfg.get("a0_nm", 0.3)),
-                               m_max=int(cfg.get("m_max", 5)))
-    cols = ["m", "z_nm", "width_nm"]
-    rows = [[m, m * fs.delta_z, w] for m, w in enumerate(fs.widths, start=1)]
-    path = _out(sc, "foci.csv")
-    write_csv(path, cols, rows,
-              comments=[f"omega_cm1 = {fmt(omega)}", f"R_nm = {fmt(sc.geometry.R)}",
-                        f"focus_spacing_nm = {fmt(fs.delta_z)}",
-                        f"a0_nm = {fmt(fs.a0)}"])
-    manifest.add_output(str(path), cols)
+                               m_max=_count(cfg, "m_max", "foci", 5))
+    m = np.arange(1, len(fs.widths) + 1)
+    write_csv(_out(sc, "foci.csv"), {"m": m, "z_nm": m * fs.delta_z, "width_nm": fs.widths},
+              manifest,
+              comments=[f"omega_cm1 = {omega:.9g}", f"R_nm = {sc.geometry.R:.9g}",
+                        f"focus_spacing_nm = {fs.delta_z:.9g}", f"a0_nm = {fs.a0:.9g}"])
     print(f"focus spacing {fs.delta_z:.2f} nm; first width {fs.widths[0]:.3f} nm")
     return 0
 
@@ -157,33 +144,24 @@ def cmd_resonance(sc: Scenario, args, manifest: RunManifest) -> int:
     a_axis = axis_range(cfg.get("d_over_R", {"start": 2.8, "stop": 4.1, "count": 64}),
                         "map.d_over_R")
     p = float(cfg.get("p_enm", 1.0))
-    m_order = int(cfg.get("m", 1))
+    m_order = _count(cfg, "m", "map", 1)
     rm = resonator.resonance_map(
         sc.material, sc.geometry,
         omega_range=(float(w_axis[0]), float(w_axis[-1])),
         aspect_range=(float(a_axis[0]), float(a_axis[-1])),
         shape=(len(w_axis), len(a_axis)), p=p)
-    cols = ["omega_cm1", "d_over_R", "log10_magnitude"]
-    rows = []
-    for i, w in enumerate(rm.omegas):
-        for j, a in enumerate(rm.aspects):
-            rows.append([w, a, rm.log10_magnitude[i, j]])
-    path = _out(sc, "resonance_map.csv")
-    write_csv(path, cols, rows,
-              comments=[f"R_nm = {fmt(sc.geometry.R)}", f"h_nm = {fmt(sc.geometry.h)}",
-                        f"p_enm = {fmt(p)}",
+    w, a = np.meshgrid(rm.omegas, rm.aspects, indexing="ij")
+    write_csv(_out(sc, "resonance_map.csv"),
+              {"omega_cm1": w.ravel(), "d_over_R": a.ravel(),
+               "log10_magnitude": rm.log10_magnitude.ravel()}, manifest,
+              comments=[f"R_nm = {sc.geometry.R:.9g}", f"h_nm = {sc.geometry.h:.9g}",
+                        f"p_enm = {p:.9g}",
                         "log10_magnitude = log10 |J + i Gamma| (meV), opposite sides"])
-    manifest.add_output(str(path), cols)
-
-    loc_cols = ["omega_cm1", "d_over_R_locus"]
-    loc_rows = []
-    for w in rm.omegas:
-        a_loc = resonator.hsr_locus_aspect(sc.material, float(w), m=m_order)
-        loc_rows.append([w, a_loc if a_loc is not None else float("nan")])
-    loc_path = _out(sc, "resonance_locus.csv")
-    write_csv(loc_path, loc_cols, loc_rows,
+    write_csv(_out(sc, "resonance_locus.csv"),
+              {"omega_cm1": rm.omegas,
+               "d_over_R_locus": resonator.hsr_locus_aspect(sc.material, rm.omegas, m=m_order)},
+              manifest,
               comments=[f"super-resonance locus d/R = 4m/Re sqrt(-eps_perp/eps_par), m={m_order}"])
-    manifest.add_output(str(loc_path), loc_cols)
     return 0
 
 
@@ -194,33 +172,36 @@ def cmd_coupling_sweep(sc: Scenario, args, manifest: RunManifest) -> int:
     r_axis = axis_range(cfg["R_nm"], "sweep.R_nm")
     if r_axis.size == 0:
         raise ScenarioError("sweep.R_nm is empty")
-    orders = cfg.get("orders", [1, 2])
+    orders = [int(m) for m in cfg.get("orders", [1, 2])]
     omega, _ = operating_frequency(sc)
     if sc.geometry is None:
         raise ScenarioError("coupling-sweep needs a geometry section (h_nm, eps_spacer)")
     h = sc.geometry.h
     p = sc.qubits[0].p if sc.qubits else 1.0
+    # d/R of the order-m super-resonance depends on m alone: one hsr_aspect per order
+    aspects = [resonator.hsr_aspect(sc.material, omega, k) for k in orders]
+    m = np.repeat(orders, r_axis.size)
+    r = np.tile(r_axis, len(orders))
+    d = np.repeat(aspects, r_axis.size) * r
 
-    def cell(r: float, m: int) -> list:
-        aspect = resonator.hsr_aspect(sc.material, omega, m)
-        d = aspect * r
+    def cell(r: float, d: float, m: int) -> tuple:
         geom = resonator.ResonatorGeometry(R=r, d=d, h=h, eps_spacer=sc.geometry.eps_spacer)
         forms = resonator.coupling_J12_hsr(sc.material, geom, omega, p, order=m)
         series = resonator.pair_response(sc.material, geom, omega, p, p)
         g11 = resonator.gamma_self(sc.material, geom, omega, p)
-        j = forms.j_loss_length
-        return [r, d, h, omega, j, g11, j / g11 if g11 > 0 else float("inf"),
-                m, forms.j_bounce, series.J, j > KT_ROOM_MEV]
+        return forms.j_loss_length, g11, forms.j_bounce, series.J
 
-    rows = [cell(float(r), int(m)) for m in orders for r in r_axis]
-    cols = ["R_nm", "d_nm", "h_nm", "omega_cm1", "J_meV", "Gamma_meV", "J_over_Gamma",
-            "m", "J_bounce_meV", "J_series_meV", "above_kT_room"]
-    path = _out(sc, "coupling_sweep.csv")
-    write_csv(path, cols, rows,
-              comments=[f"operating omega_cm1 = {fmt(omega)}; d tracks the order-m "
+    cells = [cell(*c) for c in zip(r.tolist(), d.tolist(), m.tolist())]
+    j, g11, j_bounce, j_series = np.array(cells, dtype=float).reshape(-1, 4).T  # 0 cells ok
+    write_csv(_out(sc, "coupling_sweep.csv"),
+              {"R_nm": r, "d_nm": d, "h_nm": np.full(r.size, h),
+               "omega_cm1": np.full(r.size, omega), "J_meV": j, "Gamma_meV": g11,
+               "J_over_Gamma": np.divide(j, g11, out=np.full(r.size, np.inf), where=g11 > 0),
+               "m": m, "J_bounce_meV": j_bounce, "J_series_meV": j_series,
+               "above_kT_room": j > KT_ROOM_MEV}, manifest,
+              comments=[f"operating omega_cm1 = {omega:.9g}; d tracks the order-m "
                         "super-resonance via d = 4 m R / Re sqrt(-eps_perp/eps_par)",
-                        f"kT_room_meV = {fmt(KT_ROOM_MEV)}"])
-    manifest.add_output(str(path), cols)
+                        f"kT_room_meV = {KT_ROOM_MEV:.9g}"])
     return 0
 
 
@@ -230,17 +211,13 @@ def cmd_design_window(sc: Scenario, args, manifest: RunManifest) -> int:
         raise ScenarioError("design-window needs a geometry section")
     r_eg = float(cfg.get("r_eg_nm", 2.0))
     margin = float(cfg.get("margin", 10.0))
-    if "omega_cm1" in cfg and cfg["omega_cm1"] is not None:
-        omega = float(cfg["omega_cm1"])
-    else:
-        band = upper_band(sc.material)
-        omega = band.center
+    omega = cfg.get("omega_cm1")
+    omega = upper_band(sc.material).center if omega is None else float(omega)
     win = resonator.design_window(sc.material, sc.geometry, omega, r_eg, margin=margin)
-    cols = ["omega_cm1", "h_nm", "h_star_nm", "h_c_nm", "ratio", "margin", "feasible"]
-    rows = [[omega, sc.geometry.h, win.h_star, win.h_c, win.ratio, win.margin, win.feasible]]
-    path = _out(sc, "design_window.csv")
-    write_csv(path, cols, rows)
-    manifest.add_output(str(path), cols)
+    write_csv(_out(sc, "design_window.csv"),
+              {"omega_cm1": [omega], "h_nm": [sc.geometry.h], "h_star_nm": [win.h_star],
+               "h_c_nm": [win.h_c], "ratio": [win.ratio], "margin": [win.margin],
+               "feasible": [win.feasible]}, manifest)
     print(f"h*    = {win.h_star:.4g} nm")
     print(f"h_c   = {win.h_c:.4g} nm")
     print(f"ratio = {win.ratio:.4g}  (h_c / h*)")
@@ -252,18 +229,14 @@ def cmd_design_window(sc: Scenario, args, manifest: RunManifest) -> int:
 
 def _write_trajectory(sc: Scenario, name: str, traj: dynamics.Trajectory,
                       manifest: RunManifest) -> None:
-    n = int(np.log2(traj.states[0].shape[0]))
+    pops = traj.populations()
+    n = int(np.log2(pops.shape[1]))
     labels = ["".join("e" if (idx >> j) & 1 else "g" for j in range(n))
               for idx in range(2 ** n)]
-    cols = ["t_ps"] + [f"pop_{lab}" for lab in labels] + ["purity", "trace_error"]
-    pops = traj.populations()
-    pur = traj.purity()
-    terr = traj.trace_error()
-    rows = [[traj.times[k], *pops[k], pur[k], terr[k]] for k in range(len(traj.times))]
-    path = _out(sc, name)
-    write_csv(path, cols, rows,
+    write_csv(_out(sc, name),
+              {"t_ps": traj.times, **{f"pop_{lab}": pops[:, k] for k, lab in enumerate(labels)},
+               "purity": traj.purity(), "trace_error": traj.trace_error()}, manifest,
               comments=["basis labels: character k is qubit k (least significant first)"])
-    manifest.add_output(str(path), cols)
 
 
 def cmd_evolve(sc: Scenario, args, manifest: RunManifest) -> int:
@@ -278,7 +251,7 @@ def cmd_evolve(sc: Scenario, args, manifest: RunManifest) -> int:
         di = s.get("drive_im_mev", [0.0] * len(sc.qubits))
         det = s.get("detuning_mev", [0.0] * len(sc.qubits))
         segs.append(dynamics.Segment(
-            duration=float(s["duration_ps"]), theta=theta,
+            duration=_num(s, "duration_ps", f"evolve.schedule[{k}]"), theta=theta,
             drive=tuple(complex(a, b) for a, b in zip(dr, di)),
             detuning=tuple(float(x) for x in det)))
     if not segs:
@@ -298,29 +271,18 @@ def cmd_gate(sc: Scenario, args, manifest: RunManifest) -> int:
     threshold = float(cfg.get("fidelity_threshold", 0.97))
     tol = float(cfg.get("tol", 1e-10))
     result = dynamics.iswap_gate(sc.qubits, couplings, gamma_on=True, tol=tol)
-
-    cols = ["omega_cm1", "J12_meV", "Gamma11_meV", "Gamma22_meV", "t_gate_ps",
-            "avg_fidelity", "threshold"]
-    rows = [[omega, couplings.J[0, 1], couplings.Gamma[0, 0], couplings.Gamma[1, 1],
-             result.gate_time, result.avg_fidelity, threshold]]
-    path = _out(sc, "gate_summary.csv")
-    write_csv(path, cols, rows)
-    manifest.add_output(str(path), cols)
-
+    write_csv(_out(sc, "gate_summary.csv"),
+              {"omega_cm1": [omega], "J12_meV": [couplings.J[0, 1]],
+               "Gamma11_meV": [couplings.Gamma[0, 0]], "Gamma22_meV": [couplings.Gamma[1, 1]],
+               "t_gate_ps": [result.gate_time], "avg_fidelity": [result.avg_fidelity],
+               "threshold": [threshold]}, manifest)
     _write_trajectory(sc, "gate_trajectory.csv", result.trajectory, manifest)
-
-    pm_cols = ["row", "col", "re", "im"]
-    pm_rows = []
-    dim2 = result.process_matrix.shape[0]
-    for i in range(dim2):
-        for j in range(dim2):
-            v = result.process_matrix[i, j]
-            pm_rows.append([i, j, v.real, v.imag])
-    pm_path = _out(sc, "gate_process.csv")
-    write_csv(pm_path, pm_cols, pm_rows,
+    pm = result.process_matrix
+    row, col = np.indices(pm.shape)
+    write_csv(_out(sc, "gate_process.csv"),
+              {"row": row.ravel(), "col": col.ravel(), "re": pm.real.ravel(),
+               "im": pm.imag.ravel()}, manifest,
               comments=["column-stacking superoperator of the gate channel"])
-    manifest.add_output(str(pm_path), pm_cols)
-
     print(f"J12 = {couplings.J[0, 1]:.6g} meV, Gamma11 = {couplings.Gamma[0, 0]:.6g} meV")
     print(f"t_gate = {result.gate_time:.6g} ps, F_avg = {result.avg_fidelity:.6f} "
           f"(threshold {threshold})")

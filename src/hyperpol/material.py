@@ -60,7 +60,7 @@ class MaterialModel:
 
 @dataclass(frozen=True)
 class UniaxialPermittivity:
-    omega: float  # cm^-1
+    omega: float  # cm^-1; the three fields are arrays of one shape for an array of omegas
     eps_parallel: complex
     eps_perp: complex
 
@@ -101,12 +101,16 @@ def _axis_eps(axis: LorentzAxis, omega, loss_scale: float):
     return out if out.ndim else complex(out)
 
 
-def permittivity_at(model: MaterialModel, omega: float) -> UniaxialPermittivity:
-    """Evaluate both tensor components at a wavenumber omega > 0 (cm^-1)."""
-    if not omega > 0:
+def permittivity_at(model: MaterialModel, omega) -> UniaxialPermittivity:
+    """Evaluate both tensor components at wavenumbers omega > 0 (cm^-1).
+
+    A scalar omega gives scalar fields; an array gives arrays of its shape.
+    """
+    w = np.asarray(omega, dtype=float)
+    if not np.all(w > 0):
         raise ValueError(f"omega must be positive, got {omega}")
     return UniaxialPermittivity(
-        omega=float(omega),
+        omega=w if w.ndim else float(w),
         eps_parallel=_axis_eps(model.axis_parallel, omega, model.loss_scale),
         eps_perp=_axis_eps(model.axis_perp, omega, model.loss_scale),
     )

@@ -62,10 +62,12 @@ class FieldGrid:
 # Im q <= 0 for passive media inside a hyperbolic band; formulas quoting
 # |Im sqrt(...)| use the absolute value.
 
-def sqrt_ratio(eps: UniaxialPermittivity) -> complex:
-    if eps.eps_parallel == 0:
+def sqrt_ratio(eps: UniaxialPermittivity):
+    """q for one permittivity (a complex) or for arrays of them (an array)."""
+    if np.any(eps.eps_parallel == 0):
         raise SingularMediumError("eps_parallel = 0")
-    return complex(np.sqrt(-eps.eps_perp / eps.eps_parallel))
+    q = np.sqrt(-eps.eps_perp / eps.eps_parallel)
+    return q if q.ndim else complex(q)
 
 
 def sqrt_ratio_inv(eps: UniaxialPermittivity) -> complex:

@@ -108,10 +108,6 @@ def bessel_j0_zeros(n: int) -> np.ndarray:
 
 # --- the resonance condition ---------------------------------------------------
 
-def _req(model: MaterialModel, omega: float) -> float:
-    return sqrt_ratio(permittivity_at(model, omega)).real
-
-
 def hsr_frequency(model: MaterialModel, R: float, d: float, m: int,
                   band: HyperbolicBand) -> float:
     """Super-resonance frequency: root of Re sqrt(-eps_perp/eps_par) = 4Rm/d in the band."""
@@ -121,18 +117,16 @@ def hsr_frequency(model: MaterialModel, R: float, d: float, m: int,
     lo = band.omega_low * (1 + 1e-9) + 1e-9
     hi = band.omega_high * (1 - 1e-9)
     grid = np.linspace(lo, hi, 257)
-    vals = np.array([_req(model, w) for w in grid]) - target
-    sign = np.sign(vals)
-    idx = np.flatnonzero(np.diff(sign) != 0)
+    req = sqrt_ratio(permittivity_at(model, grid)).real
+    idx = np.flatnonzero(np.diff(np.sign(req - target)) != 0)
     if idx.size == 0:
-        attain = np.array([_req(model, w) for w in grid])
         raise NoResonanceError(
             f"4Rm/d = {target:.4g} is outside the attainable ratio range "
-            f"[{attain.min():.4g}, {attain.max():.4g}] over the band "
+            f"[{req.min():.4g}, {req.max():.4g}] over the band "
             f"[{band.omega_low:.1f}, {band.omega_high:.1f}] cm^-1")
     i = idx[0]
-    return float(brentq(lambda w: _req(model, w) - target, grid[i], grid[i + 1],
-                        xtol=1e-12, rtol=_BRENTQ_RTOL, maxiter=200))
+    return float(brentq(lambda w: sqrt_ratio(permittivity_at(model, w)).real - target,
+                        grid[i], grid[i + 1], xtol=1e-12, rtol=_BRENTQ_RTOL, maxiter=200))
 
 
 def hsr_aspect(model: MaterialModel, omega: float, m: int) -> float:
@@ -476,12 +470,15 @@ def resonance_map(model: MaterialModel, geom: ResonatorGeometry,
     return ResonanceMap(omegas=omegas, aspects=aspects, log10_magnitude=out)
 
 
-def hsr_locus_aspect(model: MaterialModel, omega: float, m: int = 1) -> float | None:
-    """d/R of the order-m super-resonance at omega, or None outside the band."""
+def hsr_locus_aspect(model: MaterialModel, omega, m: int = 1):
+    """d/R of the order-m super-resonance at omega, or None outside the band.
+
+    An array of omegas gives an array of d/R, NaN outside the band.
+    """
     eps = permittivity_at(model, omega)
-    if not eps.is_hyperbolic:
-        return None
-    req = sqrt_ratio(eps).real
-    if req <= 0:
-        return None
-    return 4.0 * m / req
+    with np.errstate(divide="ignore", invalid="ignore"):  # eps_par = 0 is outside the band
+        req = np.sqrt(-eps.eps_perp / eps.eps_parallel).real
+        aspect = np.where(eps.is_hyperbolic & (req > 0), 4.0 * m / req, np.nan)
+    if aspect.ndim:
+        return aspect
+    return None if np.isnan(aspect) else float(aspect)

@@ -103,13 +103,18 @@ def _num(cfg: dict, key: str, ctx: str, default=None, positive=False):
     return float(v)
 
 
+def _count(cfg: dict, key: str, ctx: str, default: int) -> int:
+    v = cfg.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ScenarioError(f"{ctx}: {key} must be a positive integer, got {v!r}")
+    return v
+
+
 def axis_range(cfg: dict, ctx: str) -> np.ndarray:
     """Parse {start, stop, count} into a non-empty linspace."""
     start = _num(cfg, "start", ctx)
     stop = _num(cfg, "stop", ctx)
-    count = cfg.get("count", 1)
-    if not isinstance(count, int) or count < 1:
-        raise ScenarioError(f"{ctx}: count must be a positive integer, got {count!r}")
+    count = _count(cfg, "count", ctx, 1)
     if count == 1:
         return np.array([start])
     return np.linspace(start, stop, count)
@@ -220,9 +225,7 @@ def operating_frequency(sc: Scenario) -> tuple[float, int]:
     frequency of the configured geometry inside the upper band.
     """
     cfg = sc.raw.get("couplings", {})
-    m = cfg.get("m", 1)
-    if not isinstance(m, int) or m < 1:
-        raise ScenarioError(f"couplings.m must be a positive integer, got {m!r}")
+    m = _count(cfg, "m", "couplings", 1)
     if "omega_cm1" in cfg and cfg["omega_cm1"] is not None:
         return _num(cfg, "omega_cm1", "couplings", positive=True), m
     if sc.geometry is None:

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from hyperpol import dynamics, integrate
-from hyperpol.cli import main
+from hyperpol.cli import main, write_csv
 from hyperpol.errors import ScenarioError, StiffnessError, TraceDriftError
-from hyperpol.scenario import RunManifest, load_scenario, validate_scenario
+from hyperpol.scenario import (
+    RunManifest,
+    build_coupling_matrix,
+    load_scenario,
+    validate_scenario,
+)
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "hbn_scenario.yaml"
 
 BASE = """
 material: {{file: hbn, loss_scale: 1.0}}
@@ -361,3 +368,139 @@ def test_step_budget_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "step budget" in err
+
+
+# --- the column writer ---------------------------------------------------------------
+
+def reference_fmt(x) -> str:
+    """Per-value formatting of the earlier row-by-row writer."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if np.isnan(x):
+        return "nan"
+    return f"{x:.9g}"
+
+
+def reference_csv(table: dict, comments=()) -> str:
+    lines = [f"# {c}" for c in comments] + [",".join(table)]
+    lines += [",".join(reference_fmt(v) for v in row) for row in zip(*table.values())]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("rows", [7, 0])
+def test_write_csv_matches_row_formatting(tmp_path, rows):
+    table = {
+        "float": [np.nan, np.inf, -np.inf, -0.0, 1e-300, 123456789012.0, 0.1 + 0.2],
+        "np_float": np.array([1.0, -2.5e-7, np.nan, 3.0, -np.inf, 6.02214076e23, 5e-324]),
+        "py_int": [0, -1, 7, 123456789012, 2**62, -(2**40), 3],
+        "np_int": np.array([0, -1, 7, 123456789012, 2**62, -(2**40), 3], dtype=np.int64),
+        "bool": [True, False, np.bool_(True), np.bool_(False), True, False, True],
+        "np_bool": np.array([1.0, 0.0, 2.0, -1.0, 0.0, 1.0, 0.5]) > 0.5,
+        "str": ["type_i", "type_ii", "a b", "", "nan", "x", "y"],
+    }
+    table = {k: v[:rows] for k, v in table.items()}
+    manifest = RunManifest("hyperpol", "0", "test", "", "", None, 1)
+    path = tmp_path / "sub" / "t.csv"
+    write_csv(path, table, manifest, comments=["first", "second = 2"])
+    assert path.read_text(encoding="utf-8") == reference_csv(table, ["first", "second = 2"])
+    assert manifest.outputs == [{"path": str(path), "columns": list(table)}]
+
+
+# --- row order of the grid files ------------------------------------------------------
+
+def test_fieldmap_rows_rho_fastest(tmp_path):
+    from hyperpol import optics
+    from hyperpol.material import permittivity_at
+
+    path, prefix = write_scenario(tmp_path, extra="""
+fieldmap:
+  omega_cm1: 1500.0
+  rho_nm: {start: 2.0, stop: 30.0, count: 5}
+  z_nm: {start: 3.0, stop: 40.0, count: 3}
+""")
+    assert main(["--config", str(path), "fieldmap"]) == 0
+    _, data = read_csv(f"{prefix}_fieldmap.csv")
+    rho, z = np.linspace(2.0, 30.0, 5), np.linspace(3.0, 40.0, 3)
+    grid = optics.FieldGrid(rho=(2.0, 30.0, 5), z=(3.0, 40.0, 3))
+    intensity = optics.field_map(permittivity_at(load_scenario(path).material, 1500.0),
+                                 optics.DipoleSource(moment=np.array([0, 0, 1], complex)), grid)
+    assert len(data) == 15
+    for k, row in enumerate(data):
+        i, j = divmod(k, 5)
+        assert row[:2] == [f"{rho[j]:.9g}", f"{z[i]:.9g}"]
+        assert float(row[2]) == pytest.approx(intensity[i, j], rel=1e-8)
+
+
+def test_resonance_map_rows_aspect_fastest(tmp_path):
+    from hyperpol.resonator import resonance_map
+
+    path, prefix = write_scenario(tmp_path, extra="""
+map:
+  omega_cm1: {start: 1480.0, stop: 1520.0, count: 4}
+  d_over_R: {start: 2.9, stop: 3.9, count: 3}
+""")
+    assert main(["--config", str(path), "resonance"]) == 0
+    _, data = read_csv(f"{prefix}_resonance_map.csv")
+    sc = load_scenario(path)
+    rm = resonance_map(sc.material, sc.geometry, (1480.0, 1520.0), (2.9, 3.9), shape=(4, 3))
+    assert len(data) == 12
+    for k, row in enumerate(data):
+        i, j = divmod(k, 3)
+        assert row[:2] == [f"{rm.omegas[i]:.9g}", f"{rm.aspects[j]:.9g}"]
+        assert float(row[2]) == pytest.approx(rm.log10_magnitude[i, j], rel=1e-8)
+
+
+def test_gate_process_rows_match_process_matrix(tmp_path):
+    path, prefix = write_scenario(tmp_path)
+    assert main(["--config", str(path), "gate"]) == 0
+    header, data = read_csv(f"{prefix}_gate_process.csv")
+    sc = load_scenario(path)
+    couplings, _ = build_coupling_matrix(sc)
+    pm = dynamics.iswap_gate(sc.qubits, couplings, gamma_on=True, tol=1e-10).process_matrix
+    d2 = pm.shape[0]
+    assert header == ["row", "col", "re", "im"]
+    assert len(data) == d2 * d2
+    for k, row in enumerate(data):
+        i, j = divmod(k, d2)
+        assert row[:2] == [str(i), str(j)]
+        assert complex(float(row[2]), float(row[3])) == pytest.approx(pm[i, j], abs=1e-9)
+
+
+def test_manifest_columns_match_headers(tmp_path):
+    commands = ["permittivity", "bands", "fieldmap", "foci", "resonance", "coupling-sweep",
+                "design-window", "evolve", "gate"]
+    prefix = tmp_path / "hbn"
+    written = 0
+    for command in commands:
+        assert main(["--config", str(SHIPPED), "--out-prefix", str(prefix), command]) == 0
+        manifest = RunManifest.read(Path(f"{prefix}_{command.replace('-', '_')}_manifest.json"))
+        assert manifest.outputs
+        for out in manifest.outputs:
+            header, _ = read_csv(out["path"])
+            assert out["columns"] == header
+            written += 1
+    assert written == 12
+
+
+# --- input errors name their key --------------------------------------------------------
+
+@pytest.mark.parametrize("command, edit, key", [
+    ("foci", "foci: {m_max: 0}", "foci: m_max must be a positive integer"),
+    ("evolve", None, "evolve.schedule[0]: missing required number 'duration_ps'"),
+    ("bands", "band: {omega_min_cm1: abc}", "band: omega_min_cm1 must be a number"),
+    ("resonance", "map: {m: 0}", "map: m must be a positive integer"),
+])
+def test_bad_section_value_is_input_error(tmp_path, capsys, command, edit, key):
+    path, prefix = write_scenario(tmp_path, extra=f"{edit}\n" if edit else "")
+    if edit is None:
+        path.write_text(path.read_text().replace("{duration_ps: 0.05, theta:", "{theta:"))
+    assert main(["--config", str(path), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not list(prefix.parent.glob("*.csv"))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpol.constants import omega_to_mev
-from hyperpol.errors import MaterialFileError
+from hyperpol.errors import MaterialFileError, SingularMediumError
 from hyperpol.material import (
     BandType,
     LorentzAxis,
@@ -50,6 +50,33 @@ def test_omega_must_be_positive(hbn):
         permittivity_at(hbn, 0.0)
     with pytest.raises(ValueError):
         permittivity_at(hbn, -100.0)
+
+
+def test_permittivity_broadcasts_bitwise(hbn, hbn_lossless):
+    grid = np.linspace(600.0, 1800.0, 601)
+    for model in (hbn, hbn_lossless):
+        eps = permittivity_at(model, grid.reshape(601, 1))
+        assert eps.eps_parallel.shape == eps.eps_perp.shape == (601, 1)
+        scalar = [permittivity_at(model, float(w)) for w in grid]
+        assert np.array_equal(eps.eps_parallel[:, 0], [e.eps_parallel for e in scalar],
+                              equal_nan=True)
+        assert np.array_equal(eps.eps_perp[:, 0], [e.eps_perp for e in scalar], equal_nan=True)
+    # NumPy's complex division may round one ulp away from Python's
+    q = sqrt_ratio(permittivity_at(hbn, grid))
+    np.testing.assert_allclose(q, [sqrt_ratio(permittivity_at(hbn, w)) for w in grid],
+                               rtol=1e-15, atol=0)
+    one = permittivity_at(hbn, 1500.0)
+    assert type(one.omega) is float and type(one.eps_parallel) is complex
+    assert type(sqrt_ratio(one)) is complex
+    with pytest.raises(ValueError):
+        permittivity_at(hbn, np.array([1500.0, 0.0]))
+
+
+def test_sqrt_ratio_rejects_any_zero_eps_parallel():
+    axis = LorentzAxis(3.0, (LorentzOscillator(1000.0, 1200.0, 0.0),))
+    model = MaterialModel(axis, axis)
+    with pytest.raises(SingularMediumError):
+        sqrt_ratio(permittivity_at(model, np.array([1100.0, 1200.0, 1300.0])))
 
 
 def test_vacuum_has_no_bands():

@@ -3,10 +3,11 @@ import cmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from hyperpol.constants import E2_PER_NM_MEV, omega_to_mev
 from hyperpol.errors import DivergenceError, NoResonanceError, NonHyperbolicError
-from hyperpol.material import loss_scaled, permittivity_at
+from hyperpol.material import loss_scaled, permittivity_at, upper_band
 from hyperpol.optics import sqrt_ratio
 from hyperpol.resonator import (
     ResonatorGeometry,
@@ -102,6 +103,52 @@ def test_hsr_roundtrip(hbn, band):
     for m in (1, 2):
         d = hsr_aspect(hbn, omega, m) * 80.0
         assert hsr_frequency(hbn, 80.0, d, m, band) == pytest.approx(omega, rel=1e-8)
+
+
+def scalar_hsr_roots(model, band, targets):
+    """hsr_frequency's root for each target 4Rm/d, its 257-point scan made one
+    scalar omega at a time (None where the scan finds no sign change)."""
+    def req(w):
+        return sqrt_ratio(permittivity_at(model, w)).real
+
+    grid = np.linspace(band.omega_low * (1 + 1e-9) + 1e-9, band.omega_high * (1 - 1e-9), 257)
+    scan = np.array([req(w) for w in grid])
+    roots = []
+    for target in targets:
+        idx = np.flatnonzero(np.diff(np.sign(scan - target)) != 0)
+        roots.append(None if idx.size == 0 else brentq(
+            lambda w: req(w) - target, grid[idx[0]], grid[idx[0] + 1], xtol=1e-12,
+            rtol=8.9e-16, maxiter=200))
+    return roots
+
+
+def test_hsr_frequency_array_scan_matches_scalar_scan(hbn):
+    R, found = 100.0, 0
+    cases = [(aspect * R, m) for aspect in np.linspace(2.0, 8.0, 120) for m in (1, 2)]
+    for scale in (1.0, 1.0 / 3.0, 0.1):
+        model = loss_scaled(hbn, scale)
+        band = upper_band(model)
+        refs = scalar_hsr_roots(model, band, [4.0 * R * m / d for d, m in cases])
+        for (d, m), ref in zip(cases, refs):
+            if ref is None:
+                with pytest.raises(NoResonanceError):
+                    hsr_frequency(model, R, d, m, band)
+                continue
+            assert hsr_frequency(model, R, d, m, band) == ref
+            found += 1
+    assert found > 300
+
+
+def test_hsr_locus_aspect_broadcasts(hbn):
+    omegas = np.linspace(1300.0, 1700.0, 81)
+    loci = hsr_locus_aspect(hbn, omegas, m=2)
+    scalar = [hsr_locus_aspect(hbn, float(w), m=2) for w in omegas]
+    np.testing.assert_allclose(loci, [np.nan if a is None else a for a in scalar],
+                               rtol=1e-15, atol=0)
+    inside = ~np.isnan(loci)
+    assert 0 < inside.sum() < len(omegas)
+    np.testing.assert_allclose(loci[inside], [hsr_aspect(hbn, w, 2) for w in omegas[inside]],
+                               rtol=1e-15, atol=0)
 
 
 # --- single-emitter coupling -------------------------------------------------------
