@@ -95,7 +95,7 @@ def cmd_bands(sc: Scenario, args, manifest: RunManifest) -> int:
 
 def cmd_fieldmap(sc: Scenario, args, manifest: RunManifest) -> int:
     cfg = sc.raw.get("fieldmap", {})
-    omega = float(cfg.get("omega_cm1", 1500.0))
+    omega = _num(cfg, "omega_cm1", "fieldmap", default=1500.0)
     p = cfg.get("p_enm", [0.0, 0.0, 1.0])
     rho_axis = axis_range(cfg.get("rho_nm", {"start": 1.0, "stop": 80.0, "count": 81}),
                           "fieldmap.rho_nm")
@@ -120,11 +120,11 @@ def cmd_fieldmap(sc: Scenario, args, manifest: RunManifest) -> int:
 
 def cmd_foci(sc: Scenario, args, manifest: RunManifest) -> int:
     cfg = sc.raw.get("foci", {})
-    omega = float(cfg.get("omega_cm1", 1500.0))
+    omega = _num(cfg, "omega_cm1", "foci", default=1500.0)
     if sc.geometry is None:
         raise ScenarioError("foci needs a geometry section (R_nm)")
     eps = permittivity_at(sc.material, omega)
-    fs = optics.waveguide_foci(eps, sc.geometry.R, a0=float(cfg.get("a0_nm", 0.3)),
+    fs = optics.waveguide_foci(eps, sc.geometry.R, a0=_num(cfg, "a0_nm", "foci", default=0.3),
                                m_max=_count(cfg, "m_max", "foci", 5))
     m = np.arange(1, len(fs.widths) + 1)
     write_csv(_out(sc, "foci.csv"), {"m": m, "z_nm": m * fs.delta_z, "width_nm": fs.widths},
@@ -143,7 +143,7 @@ def cmd_resonance(sc: Scenario, args, manifest: RunManifest) -> int:
                         "map.omega_cm1")
     a_axis = axis_range(cfg.get("d_over_R", {"start": 2.8, "stop": 4.1, "count": 64}),
                         "map.d_over_R")
-    p = float(cfg.get("p_enm", 1.0))
+    p = _num(cfg, "p_enm", "map", default=1.0)
     m_order = _count(cfg, "m", "map", 1)
     rm = resonator.resonance_map(
         sc.material, sc.geometry,
@@ -209,10 +209,10 @@ def cmd_design_window(sc: Scenario, args, manifest: RunManifest) -> int:
     cfg = sc.raw.get("design", {})
     if sc.geometry is None:
         raise ScenarioError("design-window needs a geometry section")
-    r_eg = float(cfg.get("r_eg_nm", 2.0))
-    margin = float(cfg.get("margin", 10.0))
-    omega = cfg.get("omega_cm1")
-    omega = upper_band(sc.material).center if omega is None else float(omega)
+    r_eg = _num(cfg, "r_eg_nm", "design", default=2.0)
+    margin = _num(cfg, "margin", "design", default=10.0)
+    omega = cfg.get("omega_cm1")  # absent or null: the band centre
+    omega = upper_band(sc.material).center if omega is None else _num(cfg, "omega_cm1", "design")
     win = resonator.design_window(sc.material, sc.geometry, omega, r_eg, margin=margin)
     write_csv(_out(sc, "design_window.csv"),
               {"omega_cm1": [omega], "h_nm": [sc.geometry.h], "h_star_nm": [win.h_star],
@@ -258,7 +258,7 @@ def cmd_evolve(sc: Scenario, args, manifest: RunManifest) -> int:
         raise ScenarioError("evolve.schedule must list at least one segment")
     rho0 = dynamics.basis_state(cfg.get("initial_state", "e" + "g" * (len(sc.qubits) - 1)))
     traj = dynamics.evolve(rho0, sc.qubits, couplings, dynamics.ControlSchedule(tuple(segs)),
-                           tol=float(cfg.get("tol", 1e-10)))
+                           tol=_num(cfg, "tol", "evolve", default=1e-10))
     _write_trajectory(sc, "trajectory.csv", traj, manifest)
     print(f"evolved {len(segs)} segment(s), {len(traj.times)} recorded steps "
           f"(J12 = {couplings.J[0, 1]:.4g} meV at omega = {omega:.1f} cm^-1)")
@@ -268,8 +268,8 @@ def cmd_evolve(sc: Scenario, args, manifest: RunManifest) -> int:
 def cmd_gate(sc: Scenario, args, manifest: RunManifest) -> int:
     cfg = sc.raw.get("gate", {})
     couplings, omega = build_coupling_matrix(sc)
-    threshold = float(cfg.get("fidelity_threshold", 0.97))
-    tol = float(cfg.get("tol", 1e-10))
+    threshold = _num(cfg, "fidelity_threshold", "gate", default=0.97)
+    tol = _num(cfg, "tol", "gate", default=1e-10)
     result = dynamics.iswap_gate(sc.qubits, couplings, gamma_on=True, tol=tol)
     write_csv(_out(sc, "gate_summary.csv"),
               {"omega_cm1": [omega], "J12_meV": [couplings.J[0, 1]],

@@ -14,6 +14,7 @@ Re[eps_par * eps_perp] < 0.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -293,8 +294,13 @@ _HBN_UPPER_EDGE_TARGET = (1380.0, 1620.0)
 _HBN_EDGE_TOL = 20.0
 
 
+@functools.cache
 def default_hbn() -> MaterialModel:
-    """Packaged hBN model, validated against the expected upper-band edges."""
+    """Packaged hBN model, validated against the expected upper-band edges.
+
+    Built and validated once per process; the model is frozen, so every
+    caller can share it (loss_scaled returns a new model).
+    """
     text = resources.files("hyperpol.data").joinpath("hbn_lorentz.txt").read_text()
     model = _parse_material_text(text, "hbn_lorentz.txt")
     band = upper_band(model)

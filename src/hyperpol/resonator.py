@@ -23,7 +23,8 @@ with x_n the true zeros of J0.  The equivalent bounce-resummed form uses
 1/D_n = 2 A e^{i theta}/(1 - r_eff e^{2 i theta}), A = 1/(1 + i beta),
 r_eff = ((1 + i v)/(1 - i v))^2, v = (eps0/eps_par) sqrt(-eps_par/eps_perp):
 the product of the reflection factors at the two bounce points of the
-periodic ray.  J and Gamma are Re and Im of p1.E2 in meV.
+periodic ray.  It is evaluated with one exponential per term, w = e^{+-i theta}
+with the sign that keeps |w| <= 1.  J and Gamma are Re and Im of p1.E2 in meV.
 """
 
 from __future__ import annotations
@@ -180,11 +181,17 @@ def _inv_D_direct(theta: np.ndarray, beta: complex) -> np.ndarray:
 
 def _inv_D_resummed(theta: np.ndarray, A: complex, r_eff: complex) -> np.ndarray:
     """Bounce-resummed identity 2A e^{i th}/(1 - r e^{2 i th}), stable both branches."""
+    grow = theta.imag < 0  # Im th < 0: w = e^{-i th} and 2A w/(w^2 - r), so |w| <= 1
+    w = np.exp(1j * np.where(grow, -theta, theta))
+    w2 = w * w
+    return 2.0 * A * w / np.where(grow, w2 - r_eff, 1.0 - r_eff * w2)
+
+
+def _rho_cav(theta: np.ndarray, r1: complex) -> np.ndarray:
+    """Cavity reflection r1 (1 - e^{2 i th})/(1 - r1^2 e^{2 i th}); u = e^{+-2 i th}, |u| <= 1."""
     grow = theta.imag < 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        up = 2.0 * A * np.exp(1j * theta) / (1.0 - r_eff * np.exp(2j * theta))
-        dn = 2.0 * A * np.exp(-1j * theta) / (np.exp(-2j * theta) - r_eff)
-    return np.where(grow, dn, up)
+    u = np.exp(2j * np.where(grow, -theta, theta))
+    return r1 * np.where(grow, u - 1.0, 1.0 - u) / np.where(grow, u - r1 * r1, 1.0 - r1 * r1 * u)
 
 
 def _tail_bound(x_last: float, kappa: np.ndarray, amp: float) -> np.ndarray:
@@ -227,14 +234,7 @@ def _pair_series(eps: UniaxialPermittivity, eps0: complex, R: float, d: np.ndarr
             else:
                 inv = _inv_D_resummed(theta, A, r_eff)
             return np.sum(-prefac * x**2 * np.exp(-x * h / R) * inv, axis=1)
-        grow = theta.imag < 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            e2 = np.exp(2j * theta)
-            up = r1 * (1.0 - e2) / (1.0 - r1 * r1 * e2)
-            e2i = np.exp(-2j * theta)
-            dn = r1 * (e2i - 1.0) / (e2i - r1 * r1)
-        rho = np.where(grow, dn, up)
-        return np.sum(prefac * x**2 * np.exp(-2.0 * x * h / R) * rho, axis=1)
+        return np.sum(prefac * x**2 * np.exp(-2.0 * x * h / R) * _rho_cav(theta, r1), axis=1)
 
     amp = abs(prefac) * max(2.0 * abs(A) / max(1.0 - abs(r_eff), 1e-3), 4.0)
 

@@ -74,8 +74,12 @@ class RunManifest:
         return RunManifest(**data)
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats: 1.0e6 and 1e-3, not only 1.0e+6."""
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader that also reads YAML 1.2 floats: 1.0e6 and 1e-3, not only 1.0e+6.
+
+    It parses in C (libyaml) and falls back to the pure-Python parser when
+    PyYAML was built without libyaml; both resolve scalars alike.
+    """
 
 
 _Loader.add_implicit_resolver(
@@ -127,8 +131,8 @@ def load_scenario(path, out_prefix: str | None = None) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = yaml.load(fh, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
+        except yaml.YAMLError as exc:  # its message spans lines; the CLI prints one
+            raise ScenarioError(f"{path}: YAML parse error: {' '.join(str(exc).split())}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
 

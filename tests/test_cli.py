@@ -1,14 +1,18 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hyperpol import dynamics, integrate
 from hyperpol.cli import main, write_csv
 from hyperpol.errors import ScenarioError, StiffnessError, TraceDriftError
+from hyperpol.material import default_hbn, upper_band
 from hyperpol.scenario import (
     RunManifest,
+    _Loader,
     build_coupling_matrix,
     load_scenario,
     validate_scenario,
@@ -504,3 +508,71 @@ def test_bad_section_value_is_input_error(tmp_path, capsys, command, edit, key):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
     assert not list(prefix.parent.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("fieldmap", "fieldmap", "omega_cm1"),
+    ("foci", "foci", "omega_cm1"),
+    ("foci", "foci", "a0_nm"),
+    ("resonance", "map", "p_enm"),
+    ("design-window", "design", "r_eg_nm"),
+    ("design-window", "design", "margin"),
+    ("design-window", "design", "omega_cm1"),
+    ("gate", "gate", "fidelity_threshold"),
+    ("gate", "gate", "tol"),
+    ("evolve", "evolve", "tol"),
+])
+def test_non_number_subcommand_value_is_input_error(tmp_path, capsys, command, section, key):
+    path, prefix = write_scenario(tmp_path)
+    cfg = yaml.safe_load(path.read_text())
+    cfg.setdefault(section, {})[key] = "abc"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["--config", str(path), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{section}: {key} must be a number, got 'abc'" in err
+    assert not list(prefix.parent.glob("*.csv"))
+
+
+def test_design_omega_null_is_band_centre(tmp_path):
+    path, prefix = write_scenario(tmp_path, extra="design: {omega_cm1: null}\n")
+    assert main(["--config", str(path), "design-window"]) == 0
+    header, data = read_csv(f"{prefix}_design_window.csv")
+    assert dict(zip(header, data[0]))["omega_cm1"] == f"{upper_band(default_hbn()).center:.9g}"
+
+
+# --- the scenario parser -----------------------------------------------------------------
+
+class PurePythonLoader(yaml.SafeLoader):
+    """The scenario loader's float resolver on PyYAML's pure-Python parser."""
+
+
+PurePythonLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
+def test_scenario_parser_is_c_when_libyaml_is_built():
+    assert issubclass(_Loader, yaml.CSafeLoader) or not yaml.__with_libyaml__
+
+
+@pytest.mark.parametrize("text", [
+    SHIPPED.read_text(encoding="utf-8"),
+    "a: 1.0e6\nb: 1e-3\nc: .5e3\nd: null\ne: off\nf: [1.0e+6, -2E4, 7]\n",
+])
+def test_scenario_parser_matches_pure_python(text):
+    parsed = yaml.load(text, Loader=_Loader)
+    assert parsed == yaml.load(text, Loader=PurePythonLoader)
+    if "a" in parsed:
+        assert parsed == {"a": 1.0e6, "b": 1e-3, "c": 500.0, "d": None, "e": False,
+                          "f": [1.0e6, -2.0e4, 7]}
+
+
+def test_malformed_yaml_is_one_line_input_error(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("material: {file: hbn\ngeometry: [R_nm: 1\n")
+    assert main(["--config", str(path), "bands"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "YAML parse error" in err
+    assert err.count("\n") == 1

@@ -229,3 +229,10 @@ def test_default_hbn_validates():
     model = default_hbn()
     assert model.loss_scale == 1.0
     assert len(model.axis_parallel.oscillators) == 1
+
+
+def test_default_hbn_built_once_and_shared():
+    assert default_hbn() is default_hbn()
+    scaled = loss_scaled(default_hbn(), 0.5)
+    assert scaled.loss_scale == 0.5
+    assert default_hbn().loss_scale == 1.0

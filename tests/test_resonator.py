@@ -1,7 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -11,6 +14,8 @@ from hyperpol.material import loss_scaled, permittivity_at, upper_band
 from hyperpol.optics import sqrt_ratio
 from hyperpol.resonator import (
     ResonatorGeometry,
+    _inv_D_resummed,
+    _rho_cav,
     bessel_j0_zeros,
     bulk_axis_J12,
     coupling_J12_hsr,
@@ -546,3 +551,96 @@ def test_resonance_map_rejects_nonpositive_aspect(hbn):
     with pytest.raises(ValueError, match="d/R > 0"):
         resonance_map(hbn, geom, omega_range=(1450.0, 1550.0),
                       aspect_range=(0.0, 3.0), shape=(2, 4))
+
+
+# --- the one-exponential kernel ------------------------------------------------------
+
+def inv_D_two_branch(theta, A, r_eff):
+    """2A e^{i th}/(1 - r e^{2 i th}) from four exponentials: both branches, one kept."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = 2.0 * A * np.exp(1j * theta) / (1.0 - r_eff * np.exp(2j * theta))
+        dn = 2.0 * A * np.exp(-1j * theta) / (np.exp(-2j * theta) - r_eff)
+    return np.where(theta.imag < 0, dn, up)
+
+
+def rho_cav_two_branch(theta, r1):
+    """r1 (1 - e^{2 i th})/(1 - r1^2 e^{2 i th}) from both branches, one kept."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e2 = np.exp(2j * theta)
+        up = r1 * (1.0 - e2) / (1.0 - r1 * r1 * e2)
+        e2i = np.exp(-2j * theta)
+        dn = r1 * (e2i - 1.0) / (e2i - r1 * r1)
+    return np.where(theta.imag < 0, dn, up)
+
+
+def kernel_inputs(n=20000):
+    rng = np.random.default_rng(20240811)
+    theta = rng.uniform(-1000.0, 1000.0, n) + 1j * rng.uniform(-40.0, 40.0, n)
+    r1 = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    A = 1.0 / (1.0 + 1j * complex(0.3, 0.05))
+    return theta, r1, A
+
+
+def test_one_exponential_cross_kernel_matches_two_branch_form():
+    theta, r1, A = kernel_inputs()
+    r_eff = r1 * r1
+    assert (theta.imag < 0).any() and (theta.imag > 0).any() and np.abs(r1).max() < 1
+    new, ref = _inv_D_resummed(theta, A, r_eff), inv_D_two_branch(theta, A, r_eff)
+    # the two forms round e^{2 i th} differently (w*w against one exponential),
+    # and the denominator amplifies that by 1 + |its e^{+-2 i th} term| / |itself|
+    grow = theta.imag < 0
+    e2 = np.exp(2j * np.where(grow, -theta, theta))
+    term = np.where(grow, e2, r_eff * e2)
+    cond = 1.0 + np.abs(term) / np.abs(np.where(grow, e2 - r_eff, 1.0 - term))
+    assert np.all(np.abs(new - ref) <= 2e-15 * cond * np.abs(ref))
+
+
+def test_one_exponential_self_kernel_matches_two_branch_form():
+    theta, r1, _ = kernel_inputs()
+    new, ref = _rho_cav(theta, r1), rho_cav_two_branch(theta, r1)
+    assert np.all(np.abs(new - ref) <= 2e-15 * np.abs(ref))
+
+
+@settings(max_examples=50, deadline=None)
+@given(log_loss=st.floats(-6.0, math.log10(2.0)), h=st.floats(0.1, 30.0),
+       R=st.floats(10.0, 300.0), aspect=st.floats(0.5, 8.0), omega=st.floats(1400.0, 1600.0),
+       n_terms=st.integers(4, 256), placement=st.sampled_from(["opposite_sides", "self"]))
+def test_truncation_estimate_bounds_exact_tail(hbn, log_loss, h, R, aspect, omega, n_terms,
+                                               placement):
+    model = loss_scaled(hbn, 10.0 ** log_loss)
+    geom = ResonatorGeometry(R=R, d=aspect * R, h=h)
+    pr = pair_response(model, geom, omega, 1.0, 1.0, placement=placement, n_terms=n_terms)
+    # the omitted terms, from the module docstring's ingredients and the two-branch forms
+    eps = permittivity_at(model, omega)
+    eps0 = complex(geom.eps_spacer)
+    q = cmath.sqrt(-eps.eps_perp / eps.eps_parallel)
+    beta = 0.5 * (eps0 * q / eps.eps_perp - eps.eps_perp / (eps0 * q))
+    s = (1.0 + 1j * (eps0 / eps.eps_parallel) * cmath.sqrt(-eps.eps_parallel / eps.eps_perp))
+    r1 = s / (2.0 - s)   # (1 + i v)/(1 - i v)
+    cross = placement == "opposite_sides"
+    kappa = h / R + (abs(q.imag) * aspect if cross else h / R)
+    x_last = bessel_j0_zeros(n_terms)[-1]
+    x_end = max(x_last, 2.0 / kappa) + 60.0 / kappa   # the terms beyond are below e^-60
+    x = bessel_j0_zeros(int(x_end / np.pi) + 2)[n_terms:]
+    theta = q * x * aspect
+    prefac = 2.0 * np.pi / R**3 * E2_PER_NM_MEV
+    if cross:
+        terms = -prefac * x**2 * np.exp(-x * h / R) * inv_D_two_branch(
+            theta, 1.0 / (1.0 + 1j * beta), r1 * r1)
+    else:
+        terms = prefac * x**2 * np.exp(-2.0 * x * h / R) * rho_cav_two_branch(theta, -r1)
+    tail = abs(complex(math.fsum(terms.real), math.fsum(terms.imag)))
+    assert tail <= pr.truncation_estimate
+
+
+@pytest.mark.parametrize("placement,rtol", [("opposite_sides", 1e-9), ("self", 1e-12)])
+def test_pair_response_scale_covariance(hbn, placement, rtol):
+    # (R, d, h) -> s (R, d, h) leaves every term's phase and decay and scales 1/R^3
+    ref = pair_response(hbn, ResonatorGeometry(R=80.0, d=250.0, h=4.0), 1500.0, 1.0, 1.0,
+                        placement=placement)
+    for s in (0.3, 2.7, 11.0):
+        pr = pair_response(hbn, ResonatorGeometry(R=80.0 * s, d=250.0 * s, h=4.0 * s), 1500.0,
+                           1.0, 1.0, placement=placement)
+        assert pr.n_terms == ref.n_terms
+        scaled = complex(pr.J, pr.Gamma) * s**3
+        assert abs(scaled - complex(ref.J, ref.Gamma)) <= rtol * abs(complex(ref.J, ref.Gamma))
